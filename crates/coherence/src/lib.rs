@@ -286,7 +286,7 @@ impl CoherenceProtocol for WbiBlock {
 
     fn sharers(&self) -> Vec<NodeId> {
         match self.dir_state() {
-            ssmp_wbi::directory::DirState::Shared(s) => s.iter().copied().collect(),
+            ssmp_wbi::directory::DirState::Shared(s) => s.iter().collect(),
             _ => Vec::new(),
         }
     }

@@ -107,6 +107,11 @@ impl BlockData {
     pub fn words(&self) -> &[u64] {
         self.as_slice()
     }
+
+    /// All words as a mutable slice.
+    pub fn words_mut(&mut self) -> &mut [u64] {
+        self.as_mut_slice()
+    }
 }
 
 /// The CBL lock field of a cache line (paper §4.3).

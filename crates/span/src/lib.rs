@@ -57,19 +57,86 @@ pub const SEGMENTS: [&str; 7] = ["issue", "wbuf", "net", "mem", "queue", "comple
 /// identical percentile semantics.
 pub use ssmp_engine::stats::nearest_rank;
 
-/// One wire (a routed protocol message) observed on the interconnect.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct WireInfo {
-    /// Injecting node (trace attribution; `-1` = a directory/module).
-    src: i64,
-    /// Protocol family of the message.
-    family: Family,
-    /// Message name (the counter key, e.g. `"msg.cbl.request"`).
-    detail: String,
-    /// Injection cycle.
-    inject: Cycle,
-    /// Delivery `(cycle, node)`, once processed at the destination.
-    deliver: Option<(Cycle, i64)>,
+/// What the fold knows about one wire id (a routed protocol message).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Wire {
+    /// Injection cycle and protocol family, once `NetInject` was seen.
+    inject: Option<(Cycle, Family)>,
+    /// Delivery cycle, once processed at the destination.
+    deliver: Option<Cycle>,
+    /// The owning transaction, from the wire's `Link` event.
+    owner: Option<u64>,
+}
+
+/// Ids a [`WireTable`] may add to its dense part beyond twice the number
+/// of ids it holds.
+const DENSE_SLACK: u64 = 1024;
+
+/// Per-wire state indexed by wire id.
+///
+/// The machine numbers wires densely and monotonically, so a vector
+/// indexed by id holds them with no per-wire lookup cost. A hand-written
+/// or filtered trace may use sparse or huge ids; an id too far past the
+/// dense part (more than twice the ids held plus [`DENSE_SLACK`]) goes to
+/// an ordered overflow map instead, so memory stays proportional to the
+/// number of distinct ids seen. Every overflow id is at or past the dense
+/// part's end; growing the dense part moves the ids it reaches.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct WireTable {
+    dense: Vec<Wire>,
+    sparse: BTreeMap<u64, Wire>,
+    /// Distinct ids held (dense slots touched plus overflow entries).
+    held: u64,
+}
+
+impl WireTable {
+    /// `id`'s index in the dense part, if it lies there.
+    fn dense_index(&self, id: u64) -> Option<usize> {
+        usize::try_from(id).ok().filter(|&i| i < self.dense.len())
+    }
+
+    fn get(&self, id: u64) -> Option<&Wire> {
+        match self.dense_index(id) {
+            Some(i) => Some(&self.dense[i]),
+            None => self.sparse.get(&id),
+        }
+    }
+
+    /// The injected wire `id`, if `NetInject` was seen for it.
+    fn injected(&self, id: u64) -> Option<&Wire> {
+        self.get(id).filter(|w| w.inject.is_some())
+    }
+
+    fn owner(&self, id: u64) -> Option<u64> {
+        self.get(id).and_then(|w| w.owner)
+    }
+
+    /// The slot for `id`, created empty if the id is new.
+    fn slot(&mut self, id: u64) -> &mut Wire {
+        let len = self.dense.len() as u64;
+        if id >= len && id < 2 * self.held + DENSE_SLACK {
+            self.dense.resize(id as usize + 1, Wire::default());
+            while let Some(e) = self.sparse.first_entry() {
+                if *e.key() > id {
+                    break;
+                }
+                let (k, w) = e.remove_entry();
+                self.dense[k as usize] = w;
+            }
+        }
+        let slot = match self.dense_index(id) {
+            Some(i) => &mut self.dense[i],
+            None => self.sparse.entry(id).or_default(),
+        };
+        if *slot == Wire::default() {
+            self.held += 1;
+        }
+        slot
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Wire> {
+        self.dense.iter().chain(self.sparse.values())
+    }
 }
 
 /// A span that has begun but not yet ended.
@@ -177,9 +244,7 @@ fn adoptable(detail: &str, dur: Cycle) -> bool {
 /// (via [`SpanSink`]) or offline (via [`SpanSet::from_jsonl`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpanSet {
-    wires: BTreeMap<u64, WireInfo>,
-    /// Wire id → owning transaction (from `Link` events).
-    wire_owner: BTreeMap<u64, u64>,
+    wires: WireTable,
     open: BTreeMap<u64, OpenSpan>,
     /// Finished spans, keyed by transaction id.
     pub closed: BTreeMap<u64, ClosedSpan>,
@@ -227,30 +292,25 @@ impl SpanSet {
         match kind {
             Kind::NetInject => {
                 self.health.wires += 1;
-                self.wires.insert(
-                    id,
-                    WireInfo {
-                        src: node,
-                        family,
-                        detail: detail.to_string(),
-                        inject: cycle,
-                        deliver: None,
-                    },
-                );
+                let w = self.wires.slot(id);
+                w.inject = Some((cycle, family));
+                w.deliver = None;
             }
-            Kind::NetDeliver => match self.wires.get_mut(&id) {
-                Some(w) => {
-                    if w.deliver.is_none() {
-                        w.deliver = Some((cycle, node));
-                        self.delivered_to.entry(node).or_default().push((cycle, id));
-                    }
+            Kind::NetDeliver => {
+                if self.wires.injected(id).is_none() {
+                    self.health.unmatched_delivers += 1;
+                    return;
                 }
-                None => self.health.unmatched_delivers += 1,
-            },
+                let w = self.wires.slot(id);
+                if w.deliver.is_none() {
+                    w.deliver = Some(cycle);
+                    self.delivered_to.entry(node).or_default().push((cycle, id));
+                }
+            }
             Kind::Link => {
                 // id = wire, arg = owning transaction.
                 self.health.links += 1;
-                self.wire_owner.insert(id, arg);
+                self.wires.slot(id).owner = Some(arg);
                 match self.open.get_mut(&arg) {
                     Some(s) => s.wires.push(id),
                     None if self.closed.contains_key(&arg) => self.health.late_links += 1,
@@ -298,7 +358,7 @@ impl SpanSet {
                     if c < begin {
                         break;
                     }
-                    if self.wire_owner.get(&w).copied() != Some(txn) {
+                    if self.wires.owner(w) != Some(txn) {
                         adopted_wire = Some(w);
                         self.health.adopted += 1;
                     }
@@ -307,7 +367,7 @@ impl SpanSet {
             }
         }
         let causal_parent = adopted_wire
-            .and_then(|w| self.wire_owner.get(&w).copied())
+            .and_then(|w| self.wires.owner(w))
             .filter(|&p| p != txn);
 
         // Tile [begin, end] by walking the span's wires in injection
@@ -318,11 +378,15 @@ impl SpanSet {
         // sum equals `dur` by construction.
         let mut span_wires = o.wires;
         span_wires.extend(adopted_wire);
-        let mut timeline: Vec<(Cycle, u64)> = span_wires
+        let mut timeline: Vec<(Cycle, u64, Family, Option<Cycle>)> = span_wires
             .iter()
-            .filter_map(|&w| self.wires.get(&w).map(|i| (i.inject, w)))
+            .filter_map(|&w| {
+                let wire = self.wires.get(w)?;
+                let (inject, family) = wire.inject?;
+                Some((inject, w, family, wire.deliver))
+            })
             .collect();
-        timeline.sort_unstable();
+        timeline.sort_unstable_by_key(|&(inject, w, ..)| (inject, w));
         let mut segments: BTreeMap<&'static str, Cycle> = BTreeMap::new();
         let mut family_net: BTreeMap<&'static str, Cycle> = BTreeMap::new();
         let first_gap = if o.detail == "wbuf.write" {
@@ -332,27 +396,26 @@ impl SpanSet {
         };
         let mut cursor = begin;
         let mut prev: Option<Family> = None;
-        for &(inject, w) in &timeline {
+        for &(inject, _, family, deliver) in &timeline {
             if cursor >= end {
                 break;
             }
-            let info = &self.wires[&w];
             let at = inject.clamp(cursor, end);
             if at > cursor {
                 let label = prev.map_or(first_gap, gap_after);
                 *segments.entry(label).or_insert(0) += at - cursor;
                 cursor = at;
             }
-            let Some((deliver, _)) = info.deliver else {
+            let Some(deliver) = deliver else {
                 continue; // truncated trace; shows up as undelivered
             };
             let until = deliver.clamp(cursor, end);
             if until > cursor {
                 *segments.entry("net").or_insert(0) += until - cursor;
-                *family_net.entry(info.family.token()).or_insert(0) += until - cursor;
+                *family_net.entry(family.token()).or_insert(0) += until - cursor;
                 cursor = until;
             }
-            prev = Some(info.family);
+            prev = Some(family);
         }
         if cursor < end {
             let label = if prev.is_none() { "local" } else { "complete" };
@@ -424,7 +487,11 @@ impl SpanSet {
     pub fn health(&self) -> Health {
         let mut h = self.health;
         h.orphan_begins = self.open.len() as u64;
-        h.undelivered_wires = self.wires.values().filter(|w| w.deliver.is_none()).count() as u64;
+        h.undelivered_wires = self
+            .wires
+            .iter()
+            .filter(|w| w.inject.is_some() && w.deliver.is_none())
+            .count() as u64;
         h
     }
 
@@ -993,6 +1060,101 @@ mod tests {
         let offline = SpanSet::from_jsonl(Cursor::new(jsonl)).unwrap();
         assert_eq!(*live.borrow(), offline);
         assert_eq!(live.borrow().to_json().render(), offline.to_json().render());
+    }
+
+    /// `n` read misses on nodes 0..8, each owning a request and a reply
+    /// wire; wire `k` gets id `map(k)` (machine ids are `1..=2n`).
+    fn fills(n: u64, map: impl Fn(u64) -> u64) -> Vec<TraceEvent> {
+        let mut evs = Vec::new();
+        for k in 0..n {
+            let (node, t, txn) = ((k % 8) as i64, 10 * k, 1_000 + k);
+            let (req, rep) = (map(2 * k + 1), map(2 * k + 2));
+            evs.extend([
+                ev(
+                    t,
+                    node,
+                    Family::Wbi,
+                    Kind::NetInject,
+                    "msg.wbi.read_req",
+                    req,
+                    0,
+                ),
+                ev(t, node, Family::Node, Kind::SpanBegin, "fill", txn, 0),
+                ev(t, node, Family::Wbi, Kind::Link, "wire", req, txn),
+                ev(t + 4, -1, Family::Wbi, Kind::NetDeliver, "x", req, 0),
+                ev(t + 6, -1, Family::Wbi, Kind::NetInject, "x", rep, 0),
+                ev(t + 6, -1, Family::Wbi, Kind::Link, "wire", rep, txn),
+                ev(t + 9, node, Family::Wbi, Kind::NetDeliver, "x", rep, 0),
+                ev(t + 9, node, Family::Node, Kind::SpanEnd, "fill", txn, 9),
+            ]);
+        }
+        evs
+    }
+
+    fn fold_all(evs: &[TraceEvent]) -> SpanSet {
+        let mut s = SpanSet::new();
+        for e in evs {
+            s.fold(e);
+        }
+        s
+    }
+
+    fn assert_bounded(s: &SpanSet) {
+        let t = &s.wires;
+        assert!(t.dense.len() as u64 <= 2 * t.held + DENSE_SLACK);
+        assert_eq!(
+            t.iter().filter(|w| **w != Wire::default()).count() as u64,
+            t.held
+        );
+        assert!(t.sparse.keys().all(|&k| k >= t.dense.len() as u64));
+    }
+
+    #[test]
+    fn huge_and_sparse_wire_ids_stay_bounded_and_stitch_the_same() {
+        const N: u64 = 3_000;
+        let dense = fold_all(&fills(N, |k| k));
+        let want = dense.to_json().render();
+        assert_eq!(dense.wires.held, 2 * N);
+        assert!(dense.wires.sparse.is_empty(), "machine ids stay dense");
+        assert_bounded(&dense);
+        for (name, map) in [
+            (
+                "2^40 offset",
+                Box::new(|k: u64| (1 << 40) + k) as Box<dyn Fn(u64) -> u64>,
+            ),
+            ("stride 7", Box::new(|k| 7 * k)),
+            ("reversed", Box::new(|k| 10 * N - k)),
+        ] {
+            let s = fold_all(&fills(N, map));
+            assert_eq!(s.to_json().render(), want, "{name}");
+            assert_eq!(s.wires.held, 2 * N, "{name}");
+            assert_bounded(&s);
+        }
+        let huge = fold_all(&fills(N, |k| (1 << 40) + k));
+        assert!(
+            huge.wires.dense.is_empty(),
+            "no slot below 2^40 is allocated"
+        );
+    }
+
+    #[test]
+    fn overflow_ids_move_into_the_dense_part_when_it_reaches_them() {
+        // wires 1 and 2_500 swap ids: the first wire seen (2_500) overflows,
+        // then the dense part grows past it
+        let swap = |k| match k {
+            1 => 2_500,
+            2_500 => 1,
+            k => k,
+        };
+        let s = fold_all(&fills(2_000, swap));
+        assert!(s.wires.sparse.is_empty(), "{:?}", s.wires.sparse.keys());
+        assert_bounded(&s);
+        assert!(s.health().clean());
+        assert_eq!(s.closed[&1_000].wires, vec![2_500, 2]);
+        assert_eq!(
+            s.to_json().render(),
+            fold_all(&fills(2_000, |k| k)).to_json().render()
+        );
     }
 
     #[test]

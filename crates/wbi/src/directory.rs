@@ -11,12 +11,21 @@
 //! misses at the (former) owner tells the home to satisfy the request from
 //! memory, which is correct because the owner's replacement already merged
 //! its data into memory.
+//!
+//! Per-block state is dense: the sharer set and the per-node line states
+//! are [`NodeSet`] bitsets and the per-node copies sit in one node-indexed
+//! word slab, so a delivered message costs the same host time whatever
+//! the number of sharers (only an invalidation fan-out walks the set, one
+//! word per 64 nodes).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
+use std::fmt;
 
 use ssmp_core::addr::NodeId;
 use ssmp_core::cbl::Endpoint;
 use ssmp_core::line::BlockData;
+
+use crate::nodeset::NodeSet;
 
 /// Directory state for the block.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,7 +33,7 @@ pub enum DirState {
     /// No cached copies.
     Uncached,
     /// Read-only copies at the listed nodes.
-    Shared(BTreeSet<NodeId>),
+    Shared(NodeSet),
     /// One dirty exclusive copy.
     Modified(NodeId),
 }
@@ -127,12 +136,6 @@ pub enum WbiEffect {
     },
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct NodeLine {
-    state: LineState,
-    data: BlockData,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Txn {
     Read,
@@ -153,12 +156,20 @@ struct Pending {
 
 /// The WBI coherence controller for one block: memory copy, directory
 /// state, per-node lines, and the blocking-transaction queue.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct WbiBlock {
     block_words: u8,
     mem: BlockData,
     dir: DirState,
-    lines: BTreeMap<NodeId, NodeLine>,
+    /// Nodes holding a valid copy.
+    valid: NodeSet,
+    /// Nodes holding it writable: Modified or Exclusive.
+    owned: NodeSet,
+    /// Nodes holding it Exclusive-clean (a subset of `owned`).
+    clean: NodeSet,
+    /// Node `n`'s copy is `data[n * block_words..][..block_words]`; the
+    /// words of a node outside `valid` are stale and never read.
+    data: Vec<u64>,
     busy: Option<Pending>,
     queue: VecDeque<(NodeId, Txn)>,
     /// Maximum sharers the directory can record (`None` = full map). A
@@ -180,7 +191,10 @@ impl WbiBlock {
             block_words,
             mem: BlockData::new(block_words),
             dir: DirState::Uncached,
-            lines: BTreeMap::new(),
+            valid: NodeSet::new(),
+            owned: NodeSet::new(),
+            clean: NodeSet::new(),
+            data: Vec::new(),
             busy: None,
             queue: VecDeque::new(),
             sharer_limit: None,
@@ -243,7 +257,68 @@ impl WbiBlock {
 
     /// The node's line state, if cached.
     pub fn line_state(&self, node: NodeId) -> Option<LineState> {
-        self.lines.get(&node).map(|l| l.state)
+        if !self.valid.contains(node) {
+            None
+        } else if !self.owned.contains(node) {
+            Some(LineState::Shared)
+        } else if self.clean.contains(node) {
+            Some(LineState::Exclusive)
+        } else {
+            Some(LineState::Modified)
+        }
+    }
+
+    /// The words of `node`'s slab entry (meaningful only while valid).
+    fn line(&self, node: NodeId) -> &[u64] {
+        let bw = self.block_words as usize;
+        &self.data[node * bw..(node + 1) * bw]
+    }
+
+    fn set_state(&mut self, node: NodeId, state: LineState) {
+        self.valid.insert(node);
+        self.owned.set(node, state != LineState::Shared);
+        self.clean.set(node, state == LineState::Exclusive);
+    }
+
+    /// Installs a copy of memory at `node` in `state`; returns the copy
+    /// for the fill effect.
+    fn fill(&mut self, node: NodeId, state: LineState) -> BlockData {
+        let bw = self.block_words as usize;
+        let end = (node + 1) * bw;
+        if self.data.len() < end {
+            self.data.resize(end, 0);
+        }
+        self.data[node * bw..end].copy_from_slice(self.mem.words());
+        self.set_state(node, state);
+        self.mem.clone()
+    }
+
+    /// Drops `node`'s copy; returns the state it had.
+    fn drop_line(&mut self, node: NodeId) -> Option<LineState> {
+        let state = self.line_state(node);
+        self.valid.remove(node);
+        self.owned.remove(node);
+        self.clean.remove(node);
+        state
+    }
+
+    /// Copies `node`'s line into memory.
+    fn write_back(&mut self, node: NodeId) {
+        let bw = self.block_words as usize;
+        self.mem
+            .words_mut()
+            .copy_from_slice(&self.data[node * bw..(node + 1) * bw]);
+    }
+
+    /// Valid lines in ascending node order.
+    fn lines(&self) -> impl Iterator<Item = (NodeId, LineState, &[u64])> + '_ {
+        self.valid.iter().map(|n| {
+            (
+                n,
+                self.line_state(n).expect("valid node has a state"),
+                self.line(n),
+            )
+        })
     }
 
     /// True if the directory is mid-transaction on this block.
@@ -253,48 +328,34 @@ impl WbiBlock {
 
     /// Local read hit: returns the word if the node has any valid copy.
     pub fn local_read(&self, node: NodeId, word: u8) -> Option<u64> {
-        self.lines.get(&node).map(|l| l.data.get(word))
+        self.valid
+            .contains(node)
+            .then(|| self.line(node)[word as usize])
     }
 
     /// Local write hit: performs the store iff the node holds the line
     /// Modified. Returns whether it hit.
     pub fn local_write(&mut self, node: NodeId, word: u8, value: u64) -> bool {
-        match self.lines.get_mut(&node) {
-            Some(l) if l.state == LineState::Modified => {
-                l.data.set(word, value);
-                true
-            }
-            Some(l) if l.state == LineState::Exclusive => {
-                // MESI: the silent E -> M transition; no directory traffic.
-                l.state = LineState::Modified;
-                l.data.set(word, value);
-                true
-            }
-            _ => false,
-        }
+        // Exclusive -> Modified is MESI's silent upgrade; no directory
+        // traffic. (`fetch_and_store` needs the same write permission.)
+        self.fetch_and_store(node, word, value).is_some()
     }
 
     /// Atomic read-modify-write, valid only with the line held Modified
     /// (the machine first obtains ownership via `WriteReq`). Returns the
     /// old value.
     pub fn fetch_and_store(&mut self, node: NodeId, word: u8, value: u64) -> Option<u64> {
-        match self.lines.get_mut(&node) {
-            Some(l) if matches!(l.state, LineState::Modified | LineState::Exclusive) => {
-                l.state = LineState::Modified;
-                let old = l.data.get(word);
-                l.data.set(word, value);
-                Some(old)
-            }
-            _ => None,
+        if !self.owned.contains(node) {
+            return None;
         }
+        self.clean.remove(node);
+        let slot = &mut self.data[node * self.block_words as usize + word as usize];
+        Some(std::mem::replace(slot, value))
     }
 
     /// Processor read miss.
     pub fn read_req(&mut self, node: NodeId) -> Vec<WbiMsg> {
-        debug_assert!(
-            !self.lines.contains_key(&node),
-            "read request with a valid line"
-        );
+        debug_assert!(!self.valid.contains(node), "read request with a valid line");
         vec![Self::ctl(
             Endpoint::Node(node),
             Endpoint::Dir,
@@ -320,17 +381,14 @@ impl WbiBlock {
     /// transition applied when the message arrives); shared lines are
     /// dropped silently.
     pub fn replace(&mut self, node: NodeId) -> Vec<WbiMsg> {
-        match self.lines.remove(&node) {
-            Some(l) if l.state == LineState::Modified => {
-                self.mem = l.data;
+        match self.drop_line(node) {
+            Some(LineState::Modified) => {
+                self.write_back(node);
                 vec![self.blk(Endpoint::Node(node), Endpoint::Dir, WbiKind::WriteBack)]
             }
-            Some(_) => {
-                // Silent replacement of a shared line. The directory may
-                // send a spurious Inv later; the node just acks it.
-                vec![]
-            }
-            None => vec![],
+            // Silent replacement of a clean line. The directory may send a
+            // spurious Inv later; the node just acks it.
+            _ => vec![],
         }
     }
 
@@ -363,13 +421,13 @@ impl WbiBlock {
                         Txn::ReadEvict => {
                             // The victim's ack arrived: record the new
                             // sharer set and serve the read.
-                            let mut s = match std::mem::replace(&mut self.dir, DirState::Uncached) {
-                                DirState::Shared(s) => s,
+                            match &mut self.dir {
+                                DirState::Shared(s) => {
+                                    s.intersect_with(&self.valid);
+                                    s.insert(p.requester);
+                                }
                                 other => panic!("read-evict on {other:?}"),
-                            };
-                            s.retain(|n| self.lines.contains_key(n));
-                            s.insert(p.requester);
-                            self.dir = DirState::Shared(s);
+                            }
                             vec![self.blk(
                                 Endpoint::Dir,
                                 Endpoint::Node(p.requester),
@@ -387,19 +445,16 @@ impl WbiBlock {
             WbiKind::OwnerData { downgrade } => {
                 // Owner's data arrives; memory is refreshed and the waiting
                 // requester served.
-                if let Some(l) = self.lines.get(&src) {
+                if self.valid.contains(src) {
                     // (downgraded owner keeps a clean shared copy)
-                    self.mem = l.data.clone();
+                    self.write_back(src);
                 } // else: owner invalidated; data was stashed at fetch time
                 let p = self.busy.take().expect("owner data with no transaction");
                 let mut msgs = Vec::new();
                 match p.txn {
                     Txn::Read => {
                         debug_assert!(downgrade);
-                        let mut s: BTreeSet<NodeId> = BTreeSet::new();
-                        s.insert(src);
-                        s.insert(p.requester);
-                        self.dir = DirState::Shared(s);
+                        self.dir = DirState::Shared([src, p.requester].into_iter().collect());
                         msgs.push(self.blk(
                             Endpoint::Dir,
                             Endpoint::Node(p.requester),
@@ -428,7 +483,7 @@ impl WbiBlock {
                 match p.txn {
                     Txn::ReadEvict => unreachable!("evictions never fetch"),
                     Txn::Read => {
-                        self.dir = DirState::Shared(BTreeSet::from([p.requester]));
+                        self.dir = DirState::Shared(NodeSet::single(p.requester));
                         msgs.push(self.blk(
                             Endpoint::Dir,
                             Endpoint::Node(p.requester),
@@ -471,7 +526,7 @@ impl WbiBlock {
         match txn {
             // A queued ReadEvict restarts as a plain read against the
             // current state (the eviction may no longer be necessary).
-            Txn::Read | Txn::ReadEvict => match self.dir.clone() {
+            Txn::Read | Txn::ReadEvict => match &mut self.dir {
                 DirState::Uncached => {
                     if self.mesi {
                         // sole reader: grant exclusive-clean; the directory
@@ -480,16 +535,16 @@ impl WbiBlock {
                         self.dir = DirState::Modified(node);
                         vec![self.blk(Endpoint::Dir, Endpoint::Node(node), WbiKind::DataExclClean)]
                     } else {
-                        self.dir = DirState::Shared(BTreeSet::from([node]));
+                        self.dir = DirState::Shared(NodeSet::single(node));
                         vec![self.blk(Endpoint::Dir, Endpoint::Node(node), WbiKind::DataShared)]
                     }
                 }
-                DirState::Shared(mut s) => {
+                DirState::Shared(s) => {
                     if let Some(limit) = self.sharer_limit {
-                        if !s.contains(&node) && s.len() >= limit {
-                            // Limited directory: no pointer left — evict a
-                            // sharer, then serve the read.
-                            let victim = *s.iter().next().expect("non-empty");
+                        if !s.contains(node) && s.len() >= limit {
+                            // Limited directory: no pointer left — evict
+                            // the lowest-id sharer, then serve the read.
+                            let victim = s.first().expect("non-empty");
                             self.dir_evictions += 1;
                             self.busy = Some(Pending {
                                 txn: Txn::ReadEvict,
@@ -504,10 +559,9 @@ impl WbiBlock {
                         }
                     }
                     s.insert(node);
-                    self.dir = DirState::Shared(s);
                     vec![self.blk(Endpoint::Dir, Endpoint::Node(node), WbiKind::DataShared)]
                 }
-                DirState::Modified(owner) => {
+                &mut DirState::Modified(owner) => {
                     self.busy = Some(Pending {
                         txn,
                         requester: node,
@@ -520,7 +574,7 @@ impl WbiBlock {
                     )]
                 }
             },
-            Txn::Write { had_copy } => match self.dir.clone() {
+            Txn::Write { had_copy } => match &self.dir {
                 DirState::Uncached => {
                     self.dir = DirState::Modified(node);
                     vec![self.blk(
@@ -530,25 +584,27 @@ impl WbiBlock {
                     )]
                 }
                 DirState::Shared(s) => {
-                    let others: Vec<NodeId> = s.iter().copied().filter(|&x| x != node).collect();
-                    if others.is_empty() {
-                        self.dir = DirState::Modified(node);
-                        vec![self.grant_excl(node, had_copy && s.contains(&node))]
+                    let had_copy = had_copy && s.contains(node);
+                    let others = s.len() - usize::from(s.contains(node));
+                    if others == 0 {
+                        vec![self.grant_excl(node, had_copy)]
                     } else {
-                        self.busy = Some(Pending {
-                            txn: Txn::Write {
-                                had_copy: had_copy && s.contains(&node),
-                            },
-                            requester: node,
-                            acks_left: others.len(),
-                        });
-                        others
-                            .into_iter()
+                        // Invalidate every other sharer, in ascending id
+                        // order; the set stays recorded until the last ack.
+                        let invs = s
+                            .iter()
+                            .filter(|&o| o != node)
                             .map(|o| Self::ctl(Endpoint::Dir, Endpoint::Node(o), WbiKind::Inv))
-                            .collect()
+                            .collect();
+                        self.busy = Some(Pending {
+                            txn: Txn::Write { had_copy },
+                            requester: node,
+                            acks_left: others,
+                        });
+                        invs
                     }
                 }
-                DirState::Modified(owner) => {
+                &DirState::Modified(owner) => {
                     debug_assert_ne!(owner, node, "owner write-missed its own line");
                     self.busy = Some(Pending {
                         txn,
@@ -603,65 +659,28 @@ impl WbiBlock {
     fn deliver_at_node(&mut self, node: NodeId, msg: WbiMsg) -> (Vec<WbiMsg>, Vec<WbiEffect>) {
         match msg.kind {
             WbiKind::DataShared => {
-                let data = self.mem.clone();
-                self.lines.insert(
-                    node,
-                    NodeLine {
-                        state: LineState::Shared,
-                        data: data.clone(),
-                    },
-                );
+                let data = self.fill(node, LineState::Shared);
                 (vec![], vec![WbiEffect::FilledShared { node, data }])
             }
             WbiKind::DataExclClean => {
-                let data = self.mem.clone();
-                self.lines.insert(
-                    node,
-                    NodeLine {
-                        state: LineState::Exclusive,
-                        data: data.clone(),
-                    },
-                );
+                let data = self.fill(node, LineState::Exclusive);
                 // a read completes exactly like a shared fill
                 (vec![], vec![WbiEffect::FilledShared { node, data }])
             }
-            WbiKind::DataExcl { upgrade } => {
-                if upgrade {
-                    match self.lines.get_mut(&node) {
-                        Some(l) => {
-                            l.state = LineState::Modified;
-                            (vec![], vec![WbiEffect::UpgradeGranted { node }])
-                        }
-                        // Unreachable on a fault-free network, but a
-                        // delay-injected invalidation can overtake the
-                        // upgrade grant; the grant is authoritative, so
-                        // degrade to a full exclusive fill.
-                        None => {
-                            let data = self.mem.clone();
-                            self.lines.insert(
-                                node,
-                                NodeLine {
-                                    state: LineState::Modified,
-                                    data: data.clone(),
-                                },
-                            );
-                            (vec![], vec![WbiEffect::FilledExcl { node, data }])
-                        }
-                    }
-                } else {
-                    let data = self.mem.clone();
-                    self.lines.insert(
-                        node,
-                        NodeLine {
-                            state: LineState::Modified,
-                            data: data.clone(),
-                        },
-                    );
-                    (vec![], vec![WbiEffect::FilledExcl { node, data }])
-                }
+            // The requester still holds its copy: only ownership travels.
+            WbiKind::DataExcl { upgrade: true } if self.valid.contains(node) => {
+                self.set_state(node, LineState::Modified);
+                (vec![], vec![WbiEffect::UpgradeGranted { node }])
+            }
+            // A full exclusive fill. An upgrade grant lands here too if a
+            // delay-injected invalidation overtook it (unreachable on a
+            // fault-free network): the grant is authoritative.
+            WbiKind::DataExcl { .. } => {
+                let data = self.fill(node, LineState::Modified);
+                (vec![], vec![WbiEffect::FilledExcl { node, data }])
             }
             WbiKind::Inv => {
-                let had = self.lines.remove(&node).is_some();
+                let had = self.drop_line(node).is_some();
                 let effects = if had {
                     vec![WbiEffect::Invalidated { node }]
                 } else {
@@ -676,49 +695,40 @@ impl WbiBlock {
                     effects,
                 )
             }
-            WbiKind::FetchShared => match self.lines.get_mut(&node) {
-                Some(l) => {
-                    l.state = LineState::Shared;
-                    self.mem = l.data.clone();
-                    (
-                        vec![self.blk(
-                            Endpoint::Node(node),
-                            Endpoint::Dir,
-                            WbiKind::OwnerData { downgrade: true },
-                        )],
-                        vec![WbiEffect::Downgraded { node }],
-                    )
-                }
-                None => (
-                    vec![Self::ctl(
+            WbiKind::FetchShared if self.valid.contains(node) => {
+                self.set_state(node, LineState::Shared);
+                self.write_back(node);
+                (
+                    vec![self.blk(
                         Endpoint::Node(node),
                         Endpoint::Dir,
-                        WbiKind::WbRace,
+                        WbiKind::OwnerData { downgrade: true },
                     )],
-                    vec![],
-                ),
-            },
-            WbiKind::FetchExcl => match self.lines.remove(&node) {
-                Some(l) => {
-                    self.mem = l.data;
-                    (
-                        vec![self.blk(
-                            Endpoint::Node(node),
-                            Endpoint::Dir,
-                            WbiKind::OwnerData { downgrade: false },
-                        )],
-                        vec![WbiEffect::Invalidated { node }],
-                    )
-                }
-                None => (
-                    vec![Self::ctl(
+                    vec![WbiEffect::Downgraded { node }],
+                )
+            }
+            WbiKind::FetchExcl if self.valid.contains(node) => {
+                self.write_back(node);
+                self.drop_line(node);
+                (
+                    vec![self.blk(
                         Endpoint::Node(node),
                         Endpoint::Dir,
-                        WbiKind::WbRace,
+                        WbiKind::OwnerData { downgrade: false },
                     )],
-                    vec![],
-                ),
-            },
+                    vec![WbiEffect::Invalidated { node }],
+                )
+            }
+            // The fetch found no line: it was replaced and its write-back
+            // is in flight.
+            WbiKind::FetchShared | WbiKind::FetchExcl => (
+                vec![Self::ctl(
+                    Endpoint::Node(node),
+                    Endpoint::Dir,
+                    WbiKind::WbRace,
+                )],
+                vec![],
+            ),
             other => panic!("node cannot handle {other:?}"),
         }
     }
@@ -729,33 +739,27 @@ impl WbiBlock {
         if self.busy.is_some() || !self.queue.is_empty() {
             return Err("transaction still in flight".into());
         }
-        let modified: Vec<NodeId> = self
-            .lines
-            .iter()
-            .filter(|(_, l)| matches!(l.state, LineState::Modified | LineState::Exclusive))
-            .map(|(&n, _)| n)
-            .collect();
+        let modified: Vec<NodeId> = self.owned.iter().collect();
         match &self.dir {
             DirState::Uncached => {
-                if !self.lines.is_empty() {
-                    return Err(format!("uncached but lines exist: {:?}", self.lines.keys()));
+                if !self.valid.is_empty() {
+                    let lines: Vec<NodeId> = self.valid.iter().collect();
+                    return Err(format!("uncached but lines exist: {lines:?}"));
                 }
             }
             DirState::Shared(s) => {
                 if !modified.is_empty() {
                     return Err(format!("shared dir but modified lines {modified:?}"));
                 }
-                for n in self.lines.keys() {
-                    if !s.contains(n) {
-                        return Err(format!("line at {n} not in sharer set"));
-                    }
+                if let Some(n) = self.valid.iter().find(|&n| !s.contains(n)) {
+                    return Err(format!("line at {n} not in sharer set"));
                 }
             }
             DirState::Modified(o) => {
                 if modified != vec![*o] {
                     return Err(format!("dir owner {o} but modified lines {modified:?}"));
                 }
-                if self.lines.len() != 1 {
+                if self.valid.len() != 1 {
                     return Err("stale copies alongside an owner".into());
                 }
             }
@@ -765,20 +769,63 @@ impl WbiBlock {
 
     /// Single-writer invariant, valid at all times.
     pub fn check_single_writer(&self) -> Result<(), String> {
-        let writers = self
-            .lines
-            .values()
-            .filter(|l| matches!(l.state, LineState::Modified | LineState::Exclusive))
-            .count();
+        let writers = self.owned.len();
         if writers > 1 {
             return Err(format!("{writers} simultaneous owners"));
         }
-        if writers == 1 && self.lines.len() > 1 {
+        if writers == 1 && self.valid.len() > 1 {
             return Err("owner coexists with other copies".into());
         }
         Ok(())
     }
 }
+
+/// The valid lines of a block as a `node: (state, words)` map.
+struct Lines<'a>(&'a WbiBlock);
+
+impl fmt::Debug for Lines<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map()
+            .entries(self.0.lines().map(|(n, st, words)| (n, (st, words))))
+            .finish()
+    }
+}
+
+/// Renders the logical state: stale slab words of invalid lines are not
+/// shown.
+impl fmt::Debug for WbiBlock {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("WbiBlock")
+            .field("block_words", &self.block_words)
+            .field("mem", &self.mem)
+            .field("dir", &self.dir)
+            .field("lines", &Lines(self))
+            .field("busy", &self.busy)
+            .field("queue", &self.queue)
+            .field("sharer_limit", &self.sharer_limit)
+            .field("dir_evictions", &self.dir_evictions)
+            .field("mesi", &self.mesi)
+            .finish()
+    }
+}
+
+/// Logical equality: stale slab words of invalid lines and trailing
+/// bitset words do not count.
+impl PartialEq for WbiBlock {
+    fn eq(&self, other: &Self) -> bool {
+        self.block_words == other.block_words
+            && self.mem == other.mem
+            && self.dir == other.dir
+            && self.lines().eq(other.lines())
+            && self.busy == other.busy
+            && self.queue == other.queue
+            && self.sharer_limit == other.sharer_limit
+            && self.dir_evictions == other.dir_evictions
+            && self.mesi == other.mesi
+    }
+}
+
+impl Eq for WbiBlock {}
 
 #[cfg(test)]
 mod tests {
@@ -983,7 +1030,7 @@ mod tests {
         h.send(wb);
         h.drain();
         match h.b.dir_state() {
-            DirState::Shared(s) => assert!(s.contains(&1)),
+            DirState::Shared(s) => assert!(s.contains(1)),
             other => panic!("{other:?}"),
         }
         h.b.check_quiescent().unwrap();
@@ -1039,6 +1086,68 @@ mod tests {
         // no update was lost despite the transfers
         assert_eq!(h.b.local_read(0, 0), Some(9));
         assert_eq!(h.b.local_read(0, 1), Some(9));
+    }
+
+    /// Sharer ids on both sides of every 64-bit word boundary.
+    const SPREAD: [NodeId; 5] = [0, 63, 64, 127, 511];
+
+    #[test]
+    fn inv_fan_out_is_ascending_across_words() {
+        let mut h = Harness::new();
+        for n in SPREAD.into_iter().rev() {
+            h.read(n);
+        }
+        let m = h.b.write_req(100);
+        let invs = h.b.deliver(m[0]).0;
+        let dsts: Vec<Endpoint> = invs.iter().map(|m| m.dst).collect();
+        assert!(invs.iter().all(|m| m.kind == WbiKind::Inv));
+        assert_eq!(dsts, SPREAD.map(Endpoint::Node).to_vec());
+        // an upgrading sharer is skipped, the others keep their order
+        let mut h = Harness::new();
+        for n in SPREAD {
+            h.read(n);
+        }
+        let m = h.b.write_req(64);
+        let (invs, _) = h.b.deliver(m[0]);
+        let dsts: Vec<Endpoint> = invs.iter().map(|m| m.dst).collect();
+        assert_eq!(dsts, [0, 63, 127, 511].map(Endpoint::Node).to_vec());
+        h.send(invs);
+        h.drain();
+        assert_eq!(h.b.dir_state(), &DirState::Modified(64));
+        h.b.check_quiescent().unwrap();
+    }
+
+    #[test]
+    fn dir_state_equality_is_set_equality() {
+        let mut h = Harness::new();
+        h.read(3);
+        h.read(400);
+        // {3, 400} minus 400 keeps seven words, six of them zero
+        let wide = match h.b.dir_state() {
+            DirState::Shared(s) => {
+                let mut s = s.clone();
+                s.remove(400);
+                DirState::Shared(s)
+            }
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(wide, DirState::Shared(NodeSet::single(3)));
+        assert_ne!(wide, DirState::Shared(NodeSet::single(67)));
+        assert_ne!(wide, DirState::Modified(3));
+    }
+
+    #[test]
+    fn block_equality_and_debug_ignore_stale_lines() {
+        // Node 9 read then was invalidated: its slab words are stale but
+        // the block is logically the same as one where 9 never read.
+        let mut a = Harness::new();
+        a.read(9);
+        a.write(2, 0, 5);
+        let mut b = Harness::new();
+        b.write(2, 0, 5);
+        assert_eq!(a.b.line_state(9), None);
+        assert_eq!(a.b, b.b);
+        assert_eq!(format!("{:?}", a.b), format!("{:?}", b.b));
     }
 
     #[test]
@@ -1151,7 +1260,7 @@ mod limited_dir_tests {
         match h.b.dir_state() {
             DirState::Shared(s) => {
                 assert_eq!(s.len(), 2, "limit respected: {s:?}");
-                assert!(s.contains(&2), "new reader recorded");
+                assert!(s.contains(2), "new reader recorded");
             }
             other => panic!("{other:?}"),
         }
@@ -1173,13 +1282,29 @@ mod limited_dir_tests {
     }
 
     #[test]
+    fn victim_is_the_lowest_id_sharer_across_words() {
+        let mut h = H::new(3);
+        for n in [511, 127, 64] {
+            h.read(n);
+        }
+        h.read(63); // evicts 64, the lowest of {64, 127, 511}
+        h.read(0); // evicts 63
+        assert_eq!(h.invalidated, vec![64, 63]);
+        match h.b.dir_state() {
+            DirState::Shared(s) => assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 127, 511]),
+            other => panic!("{other:?}"),
+        }
+        h.b.check_quiescent().unwrap();
+    }
+
+    #[test]
     fn evicted_sharer_can_return() {
         let mut h = H::new(1);
         h.read(0);
         h.read(1); // evicts 0
         h.read(0); // evicts 1, 0 returns
         match h.b.dir_state() {
-            DirState::Shared(s) => assert!(s.contains(&0)),
+            DirState::Shared(s) => assert!(s.contains(0)),
             other => panic!("{other:?}"),
         }
         assert_eq!(h.b.dir_evictions(), 2);

@@ -19,8 +19,10 @@
 
 pub mod backoff;
 pub mod directory;
+pub mod nodeset;
 pub mod swbarrier;
 
 pub use backoff::Backoff;
 pub use directory::{WbiBlock, WbiEffect, WbiKind, WbiMsg};
+pub use nodeset::NodeSet;
 pub use swbarrier::SwBarrier;
