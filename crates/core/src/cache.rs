@@ -29,12 +29,35 @@ pub enum Eviction {
     },
 }
 
+/// Marks a block that is not resident in the slot table.
+const ABSENT: u32 = u32::MAX;
+
+/// One resident line and the tick of its last use.
+#[derive(Debug, Clone)]
+struct Way {
+    block: BlockId,
+    /// The cache's tick when the line was last inserted or promoted; the
+    /// line with the smallest stamp in a set is its LRU line.
+    used: u64,
+    line: CacheLine,
+}
+
 /// A set-associative, LRU-replacement cache mapping `BlockId` to
 /// [`CacheLine`].
+///
+/// Lookups go through a block-indexed slot table, so a hit costs the same
+/// whatever the associativity and occupancy; recency is a per-line stamp
+/// rather than a position, so promoting a line moves nothing. Only an
+/// insertion into a full set scans the set (for its victim).
 #[derive(Debug, Clone)]
 pub struct DataCache {
-    /// Per-set storage: `(block, line)` in LRU order (front = LRU).
-    sets: Vec<Vec<(BlockId, CacheLine)>>,
+    /// Per-set storage, in no particular order.
+    sets: Vec<Vec<Way>>,
+    /// `slot[block]` is the block's position in its set, or `ABSENT`.
+    /// Sized to the largest block id ever inserted.
+    slot: Vec<u32>,
+    /// Use counter; every insertion or promotion takes the next tick.
+    tick: u64,
     assoc: usize,
     block_words: u8,
 }
@@ -45,6 +68,8 @@ impl DataCache {
         assert!(num_sets >= 1 && assoc >= 1);
         Self {
             sets: vec![Vec::with_capacity(assoc); num_sets],
+            slot: Vec::new(),
+            tick: 0,
             assoc,
             block_words,
         }
@@ -59,6 +84,30 @@ impl DataCache {
         block % self.sets.len()
     }
 
+    /// `block`'s position in its set, if resident.
+    fn pos(&self, block: BlockId) -> Option<usize> {
+        match self.slot.get(block) {
+            Some(&p) if p != ABSENT => Some(p as usize),
+            _ => None,
+        }
+    }
+
+    fn next_tick(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
+    }
+
+    /// Removes the way at `pos` of set `s`, keeping the slot table in step
+    /// with the way that moves into its place.
+    fn take(&mut self, s: usize, pos: usize) -> Way {
+        let way = self.sets[s].swap_remove(pos);
+        self.slot[way.block] = ABSENT;
+        if let Some(moved) = self.sets[s].get(pos) {
+            self.slot[moved.block] = pos as u32;
+        }
+        way
+    }
+
     /// Total lines currently resident.
     pub fn len(&self) -> usize {
         self.sets.iter().map(|s| s.len()).sum()
@@ -71,71 +120,69 @@ impl DataCache {
 
     /// Whether `block` is resident.
     pub fn contains(&self, block: BlockId) -> bool {
-        let s = self.set_of(block);
-        self.sets[s].iter().any(|(b, _)| *b == block)
+        self.pos(block).is_some()
     }
 
     /// Read-only access to a resident line (does not touch LRU state).
     pub fn peek(&self, block: BlockId) -> Option<&CacheLine> {
-        let s = self.set_of(block);
-        self.sets[s]
-            .iter()
-            .find(|(b, _)| *b == block)
-            .map(|(_, l)| l)
+        let pos = self.pos(block)?;
+        Some(&self.sets[self.set_of(block)][pos].line)
     }
 
     /// Mutable access to a resident line; promotes it to MRU.
     pub fn get_mut(&mut self, block: BlockId) -> Option<&mut CacheLine> {
-        let s = self.set_of(block);
-        let set = &mut self.sets[s];
-        let pos = set.iter().position(|(b, _)| *b == block)?;
-        let entry = set.remove(pos);
-        set.push(entry);
-        set.last_mut().map(|(_, l)| l)
+        let pos = self.pos(block)?;
+        let (s, used) = (self.set_of(block), self.next_tick());
+        let way = &mut self.sets[s][pos];
+        way.used = used;
+        Some(&mut way.line)
     }
 
     /// Inserts (or replaces) a line for `block`, evicting the LRU line of
     /// the set if full. Lines whose lock field is active are never chosen
     /// as victims (they live in the lock cache in hardware; pinning them
     /// here models the same guarantee for configurations without a separate
-    /// lock cache).
+    /// lock cache) unless every line of the set is locked, in which case
+    /// the set's LRU line goes.
     pub fn insert(&mut self, block: BlockId, line: CacheLine) -> Eviction {
-        let s = self.set_of(block);
-        let set = &mut self.sets[s];
-        if let Some(pos) = set.iter().position(|(b, _)| *b == block) {
-            let entry = set.remove(pos);
-            drop(entry);
-            set.push((block, line));
+        let (s, used) = (self.set_of(block), self.next_tick());
+        if let Some(pos) = self.pos(block) {
+            self.sets[s][pos] = Way { block, used, line };
             return Eviction::None;
         }
         let mut evicted = Eviction::None;
-        if set.len() >= self.assoc {
-            // choose the LRU line whose lock field is inactive
-            let pos = set
-                .iter()
-                .position(|(_, l)| matches!(l.lock, crate::line::LockField::None))
-                .unwrap_or(0);
-            let (vb, vl) = set.remove(pos);
-            evicted = if vl.is_dirty() {
+        if self.sets[s].len() >= self.assoc {
+            // the LRU line whose lock field is inactive, else the LRU line
+            let set = &self.sets[s];
+            let pos = (0..set.len())
+                .min_by_key(|&i| {
+                    let locked = !matches!(set[i].line.lock, crate::line::LockField::None);
+                    (locked, set[i].used)
+                })
+                .expect("full set");
+            let victim = self.take(s, pos);
+            evicted = if victim.line.is_dirty() {
                 Eviction::WriteBack {
-                    block: vb,
-                    mask: vl.dirty,
-                    data: vl.data,
+                    block: victim.block,
+                    mask: victim.line.dirty,
+                    data: victim.line.data,
                 }
             } else {
-                Eviction::Clean(vb)
+                Eviction::Clean(victim.block)
             };
         }
-        set.push((block, line));
+        if block >= self.slot.len() {
+            self.slot.resize(block + 1, ABSENT);
+        }
+        self.slot[block] = self.sets[s].len() as u32;
+        self.sets[s].push(Way { block, used, line });
         evicted
     }
 
     /// Removes and returns the line for `block`.
     pub fn remove(&mut self, block: BlockId) -> Option<CacheLine> {
-        let s = self.set_of(block);
-        let set = &mut self.sets[s];
-        let pos = set.iter().position(|(b, _)| *b == block)?;
-        Some(set.remove(pos).1)
+        let pos = self.pos(block)?;
+        Some(self.take(self.set_of(block), pos).line)
     }
 
     /// Ensures a line exists for `block` (inserting an invalid one if
@@ -153,7 +200,7 @@ impl DataCache {
     pub fn iter(&self) -> impl Iterator<Item = (BlockId, &CacheLine)> {
         self.sets
             .iter()
-            .flat_map(|s| s.iter().map(|(b, l)| (*b, l)))
+            .flat_map(|s| s.iter().map(|w| (w.block, &w.line)))
     }
 }
 
@@ -269,5 +316,180 @@ mod tests {
         let mut blocks: Vec<_> = c.iter().map(|(b, _)| b).collect();
         blocks.sort_unstable();
         assert_eq!(blocks, vec![0, 1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn all_locked_set_evicts_its_lru_line() {
+        let mut c = DataCache::new(1, 2, 4);
+        for b in [0, 1] {
+            let mut l = line4();
+            l.lock = LockField::Held(LockMode::Write);
+            c.insert(b, l);
+        }
+        c.get_mut(0);
+        assert_eq!(c.insert(2, line4()), Eviction::Clean(1));
+        assert!(c.contains(0) && c.contains(2));
+    }
+
+    /// Reference model: an ordered-`Vec` cache in which each set keeps its
+    /// lines in LRU order (front = LRU) and every hit shifts the line to
+    /// the back, so the victim is read off the order directly.
+    struct OrderedCache {
+        sets: Vec<Vec<(BlockId, CacheLine)>>,
+        assoc: usize,
+    }
+
+    impl OrderedCache {
+        fn new(num_sets: usize, assoc: usize) -> Self {
+            Self {
+                sets: vec![Vec::new(); num_sets],
+                assoc,
+            }
+        }
+
+        fn set(&mut self, block: BlockId) -> &mut Vec<(BlockId, CacheLine)> {
+            let n = self.sets.len();
+            &mut self.sets[block % n]
+        }
+
+        fn peek(&self, block: BlockId) -> Option<&CacheLine> {
+            self.sets[block % self.sets.len()]
+                .iter()
+                .find(|(b, _)| *b == block)
+                .map(|(_, l)| l)
+        }
+
+        fn get_mut(&mut self, block: BlockId) -> Option<&mut CacheLine> {
+            let set = self.set(block);
+            let pos = set.iter().position(|(b, _)| *b == block)?;
+            let entry = set.remove(pos);
+            set.push(entry);
+            set.last_mut().map(|(_, l)| l)
+        }
+
+        fn insert(&mut self, block: BlockId, line: CacheLine) -> Eviction {
+            let assoc = self.assoc;
+            let set = self.set(block);
+            if let Some(pos) = set.iter().position(|(b, _)| *b == block) {
+                set.remove(pos);
+                set.push((block, line));
+                return Eviction::None;
+            }
+            let mut evicted = Eviction::None;
+            if set.len() >= assoc {
+                let pos = set
+                    .iter()
+                    .position(|(_, l)| matches!(l.lock, LockField::None))
+                    .unwrap_or(0);
+                let (vb, vl) = set.remove(pos);
+                evicted = if vl.is_dirty() {
+                    Eviction::WriteBack {
+                        block: vb,
+                        mask: vl.dirty,
+                        data: vl.data,
+                    }
+                } else {
+                    Eviction::Clean(vb)
+                };
+            }
+            set.push((block, line));
+            evicted
+        }
+
+        fn remove(&mut self, block: BlockId) -> Option<CacheLine> {
+            let set = self.set(block);
+            let pos = set.iter().position(|(b, _)| *b == block)?;
+            Some(set.remove(pos).1)
+        }
+
+        fn entry(&mut self, block: BlockId) -> (&mut CacheLine, Eviction) {
+            let ev = if self.peek(block).is_some() {
+                Eviction::None
+            } else {
+                self.insert(block, CacheLine::new(4))
+            };
+            (self.get_mut(block).expect("just inserted"), ev)
+        }
+
+        fn contents(&self) -> Vec<(BlockId, CacheLine)> {
+            let mut v: Vec<_> = self.sets.iter().flatten().cloned().collect();
+            v.sort_by_key(|(b, _)| *b);
+            v
+        }
+    }
+
+    fn contents(c: &DataCache) -> Vec<(BlockId, CacheLine)> {
+        let mut v: Vec<_> = c.iter().map(|(b, l)| (b, l.clone())).collect();
+        v.sort_by_key(|(b, _)| *b);
+        v
+    }
+
+    /// A valid line stamped with `stamp`, dirty and/or locked per `flag`.
+    fn flagged_line(flag: u8, stamp: u64) -> CacheLine {
+        let mut l = line4();
+        l.data.set(0, stamp);
+        mutate(&mut l, flag, stamp);
+        l
+    }
+
+    /// The in-place change `get_mut`/`entry` callers make: dirty a word,
+    /// take the lock, drop it, or nothing.
+    fn mutate(l: &mut CacheLine, flag: u8, stamp: u64) {
+        match flag {
+            1 => {
+                l.data.set(1, stamp);
+                l.mark_dirty(1);
+            }
+            2 => l.lock = LockField::Held(LockMode::Write),
+            3 => l.lock = LockField::None,
+            _ => {}
+        }
+    }
+
+    proptest::proptest! {
+        /// Random operation streams on small sets (so evictions are
+        /// frequent), with dirty and locked lines: the slot-table cache
+        /// returns exactly what the ordered-`Vec` oracle returns (victims
+        /// included) and holds the same lines after every step.
+        #[test]
+        fn prop_matches_ordered_vec_oracle(
+            sets in 1usize..3,
+            assoc in 1usize..4,
+            ops in proptest::collection::vec((0u8..6, 0usize..10, 0u8..4), 1..120),
+        ) {
+            let mut c = DataCache::new(sets, assoc, 4);
+            let mut o = OrderedCache::new(sets, assoc);
+            for (stamp, (op, block, flag)) in ops.into_iter().enumerate() {
+                let stamp = stamp as u64 + 1;
+                match op {
+                    0 => {
+                        let l = flagged_line(flag, stamp);
+                        proptest::prop_assert_eq!(c.insert(block, l.clone()), o.insert(block, l));
+                    }
+                    1 => match (c.get_mut(block), o.get_mut(block)) {
+                        (Some(a), Some(b)) => {
+                            proptest::prop_assert_eq!(&*a, &*b);
+                            mutate(a, flag, stamp);
+                            mutate(b, flag, stamp);
+                        }
+                        (a, b) => proptest::prop_assert_eq!(a.is_some(), b.is_some()),
+                    },
+                    2 => proptest::prop_assert_eq!(c.peek(block), o.peek(block)),
+                    3 => {
+                        let (a, ea) = c.entry(block);
+                        let (b, eb) = o.entry(block);
+                        proptest::prop_assert_eq!(ea, eb);
+                        proptest::prop_assert_eq!(&*a, &*b);
+                        mutate(a, flag, stamp);
+                        mutate(b, flag, stamp);
+                    }
+                    4 => proptest::prop_assert_eq!(c.remove(block), o.remove(block)),
+                    _ => proptest::prop_assert_eq!(c.contains(block), o.peek(block).is_some()),
+                }
+                let want = o.contents();
+                proptest::prop_assert_eq!(c.len(), want.len());
+                proptest::prop_assert_eq!(contents(&c), want);
+            }
+        }
     }
 }

@@ -24,8 +24,6 @@
 //! correctness never depends on pushes (synchronization transfers data
 //! explicitly); pushes are a freshness optimisation.
 
-use std::collections::BTreeMap;
-
 use crate::addr::NodeId;
 use crate::cbl::Endpoint;
 use crate::line::BlockData;
@@ -140,12 +138,18 @@ struct Member {
 
 /// The RIC controller for one memory block: the authoritative memory copy,
 /// the central-directory head pointer, and the members' list linkage.
+///
+/// Linkage is node-indexed (`links[node]` is `Some` exactly for members),
+/// so every lookup on the push path is one index whatever the list length.
 #[derive(Debug, Clone)]
 pub struct UpdateList {
     block_words: u32,
     mem: BlockData,
     head: Option<NodeId>,
-    members: BTreeMap<NodeId, Member>,
+    /// Per-node list links, sized to the largest node id ever enrolled.
+    links: Vec<Option<Member>>,
+    /// Number of members (`Some` entries of `links`).
+    count: usize,
 }
 
 impl UpdateList {
@@ -155,8 +159,17 @@ impl UpdateList {
             block_words: block_words as u32,
             mem: BlockData::new(block_words),
             head: None,
-            members: BTreeMap::new(),
+            links: Vec::new(),
+            count: 0,
         }
+    }
+
+    fn member(&self, node: NodeId) -> Option<&Member> {
+        self.links.get(node).and_then(Option::as_ref)
+    }
+
+    fn member_mut(&mut self, node: NodeId) -> Option<&mut Member> {
+        self.links.get_mut(node).and_then(Option::as_mut)
     }
 
     fn ctl(src: Endpoint, dst: Endpoint, kind: RicKind) -> RicMsg {
@@ -190,12 +203,12 @@ impl UpdateList {
 
     /// Current update-list membership, head first.
     pub fn members_in_order(&self) -> Vec<NodeId> {
-        let mut v = Vec::with_capacity(self.members.len());
+        let mut v = Vec::with_capacity(self.count);
         let mut cur = self.head;
         while let Some(n) = cur {
             v.push(n);
-            cur = self.members.get(&n).and_then(|m| m.next);
-            if v.len() > self.members.len() {
+            cur = self.member(n).and_then(|m| m.next);
+            if v.len() > self.count {
                 panic!("update list cycle");
             }
         }
@@ -204,17 +217,17 @@ impl UpdateList {
 
     /// Whether `node` is enrolled.
     pub fn is_member(&self, node: NodeId) -> bool {
-        self.members.contains_key(&node)
+        self.member(node).is_some()
     }
 
     /// Number of enrolled nodes.
     pub fn len(&self) -> usize {
-        self.members.len()
+        self.count
     }
 
     /// True when nobody is enrolled.
     pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
+        self.count == 0
     }
 
     /// Processor issues a plain read miss (no enrollment).
@@ -265,13 +278,14 @@ impl UpdateList {
     /// line: leave the list. Pointer surgery is atomic; the returned
     /// messages are the fix-up traffic (accounting).
     pub fn leave(&mut self, node: NodeId) -> Vec<RicMsg> {
-        let Some(m) = self.members.remove(&node) else {
+        let Some(m) = self.links.get_mut(node).and_then(Option::take) else {
             return vec![]; // idempotent: already gone
         };
+        self.count -= 1;
         let me = Endpoint::Node(node);
         let mut msgs = Vec::new();
         if let Some(p) = m.prev {
-            self.members.get_mut(&p).expect("prev member").next = m.next;
+            self.member_mut(p).expect("prev member").next = m.next;
             msgs.push(Self::ctl(me, Endpoint::Node(p), RicKind::Splice));
         } else {
             // We were the head: tell the directory.
@@ -279,48 +293,61 @@ impl UpdateList {
             msgs.push(Self::ctl(me, Endpoint::Dir, RicKind::HeadChange));
         }
         if let Some(n) = m.next {
-            self.members.get_mut(&n).expect("next member").prev = m.prev;
+            self.member_mut(n).expect("next member").prev = m.prev;
             msgs.push(Self::ctl(me, Endpoint::Node(n), RicKind::Splice));
         }
         msgs
     }
 
-    /// Delivers a protocol message at its destination.
+    /// Delivers a protocol message at its destination, returning the
+    /// outgoing messages and effects in fresh vectors.
     pub fn deliver(&mut self, msg: RicMsg) -> (Vec<RicMsg>, Vec<RicEffect>) {
+        let (mut msgs, mut effects) = (Vec::new(), Vec::new());
+        self.deliver_into(msg, &mut msgs, &mut effects);
+        (msgs, effects)
+    }
+
+    /// Delivers a protocol message at its destination, appending the
+    /// outgoing messages to `msgs` and the effects to `effects` (neither is
+    /// cleared), so a caller that reuses its buffers delivers without
+    /// allocating.
+    pub fn deliver_into(
+        &mut self,
+        msg: RicMsg,
+        msgs: &mut Vec<RicMsg>,
+        effects: &mut Vec<RicEffect>,
+    ) {
         match msg.dst {
-            Endpoint::Dir => self.deliver_at_dir(msg),
-            Endpoint::Node(n) => self.deliver_at_node(n, msg),
+            Endpoint::Dir => self.deliver_at_dir(msg, msgs),
+            Endpoint::Node(n) => self.deliver_at_node(n, msg, msgs, effects),
         }
     }
 
-    fn deliver_at_dir(&mut self, msg: RicMsg) -> (Vec<RicMsg>, Vec<RicEffect>) {
+    fn deliver_at_dir(&mut self, msg: RicMsg, msgs: &mut Vec<RicMsg>) {
         let Endpoint::Node(src) = msg.src else {
             panic!("directory message from directory: {msg:?}");
         };
         match msg.kind {
-            RicKind::ReadMiss => (
-                vec![self.data_msg(
-                    Endpoint::Dir,
-                    Endpoint::Node(src),
-                    RicKind::ReadReply { enrolled: false },
-                )],
-                vec![],
-            ),
+            RicKind::ReadMiss => msgs.push(self.data_msg(
+                Endpoint::Dir,
+                Endpoint::Node(src),
+                RicKind::ReadReply { enrolled: false },
+            )),
             RicKind::ReadUpdateReq => {
-                let mut msgs = Vec::new();
                 if !self.is_member(src) {
                     // Enroll at the head (cheapest insertion point: only the
                     // directory pointer and the old head's back pointer move).
                     let old_head = self.head;
-                    self.members.insert(
-                        src,
-                        Member {
-                            prev: None,
-                            next: old_head,
-                        },
-                    );
+                    if src >= self.links.len() {
+                        self.links.resize(src + 1, None);
+                    }
+                    self.links[src] = Some(Member {
+                        prev: None,
+                        next: old_head,
+                    });
+                    self.count += 1;
                     if let Some(h) = old_head {
-                        self.members.get_mut(&h).expect("old head").prev = Some(src);
+                        self.member_mut(h).expect("old head").prev = Some(src);
                         msgs.push(Self::ctl(Endpoint::Dir, Endpoint::Node(h), RicKind::Splice));
                     }
                     self.head = Some(src);
@@ -330,76 +357,65 @@ impl UpdateList {
                     Endpoint::Node(src),
                     RicKind::ReadReply { enrolled: true },
                 ));
-                (msgs, vec![])
             }
-            RicKind::ReadGlobalReq { word } => (
-                vec![Self::ctl(
-                    Endpoint::Dir,
-                    Endpoint::Node(src),
-                    RicKind::ReadGlobalReply { word },
-                )],
-                vec![],
-            ),
+            RicKind::ReadGlobalReq { word } => msgs.push(Self::ctl(
+                Endpoint::Dir,
+                Endpoint::Node(src),
+                RicKind::ReadGlobalReply { word },
+            )),
             RicKind::WriteGlobal { word, value, wid } => {
                 self.mem.set(word, value);
-                let mut msgs = vec![Self::ctl(
+                msgs.push(Self::ctl(
                     Endpoint::Dir,
                     Endpoint::Node(src),
                     RicKind::WriteAck { wid },
-                )];
+                ));
                 if let Some(h) = self.head {
                     msgs.push(self.data_msg(Endpoint::Dir, Endpoint::Node(h), RicKind::UpdatePush));
                 }
-                (msgs, vec![])
             }
-            RicKind::HeadChange => (vec![], vec![]), // applied atomically at leave()
+            RicKind::HeadChange => {} // applied atomically at leave()
             other => panic!("directory cannot handle {other:?}"),
         }
     }
 
-    fn deliver_at_node(&mut self, node: NodeId, msg: RicMsg) -> (Vec<RicMsg>, Vec<RicEffect>) {
+    fn deliver_at_node(
+        &mut self,
+        node: NodeId,
+        msg: RicMsg,
+        msgs: &mut Vec<RicMsg>,
+        effects: &mut Vec<RicEffect>,
+    ) {
         match msg.kind {
-            RicKind::ReadReply { enrolled } => (
-                vec![],
-                vec![RicEffect::Filled {
-                    node,
-                    data: self.mem.clone(),
-                    enrolled,
-                }],
-            ),
-            RicKind::ReadGlobalReply { word } => (
-                vec![],
-                vec![RicEffect::ReadValue {
-                    node,
-                    word,
-                    value: self.mem.get(word),
-                }],
-            ),
-            RicKind::WriteAck { wid } => (vec![], vec![RicEffect::WriteDone { node, wid }]),
-            RicKind::UpdatePush => {
-                match self.members.get(&node) {
-                    Some(m) => {
-                        let mut msgs = Vec::new();
-                        if let Some(nx) = m.next {
-                            msgs.push(self.data_msg(
-                                Endpoint::Node(node),
-                                Endpoint::Node(nx),
-                                RicKind::UpdatePush,
-                            ));
-                        }
-                        (
-                            msgs,
-                            vec![RicEffect::UpdateApplied {
-                                node,
-                                data: self.mem.clone(),
-                            }],
-                        )
+            RicKind::ReadReply { enrolled } => effects.push(RicEffect::Filled {
+                node,
+                data: self.mem.clone(),
+                enrolled,
+            }),
+            RicKind::ReadGlobalReply { word } => effects.push(RicEffect::ReadValue {
+                node,
+                word,
+                value: self.mem.get(word),
+            }),
+            RicKind::WriteAck { wid } => effects.push(RicEffect::WriteDone { node, wid }),
+            RicKind::UpdatePush => match self.member(node) {
+                Some(m) => {
+                    if let Some(nx) = m.next {
+                        msgs.push(self.data_msg(
+                            Endpoint::Node(node),
+                            Endpoint::Node(nx),
+                            RicKind::UpdatePush,
+                        ));
                     }
-                    // Left the list while the push was in flight.
-                    None => (vec![], vec![RicEffect::UpdateDropped { node }]),
+                    effects.push(RicEffect::UpdateApplied {
+                        node,
+                        data: self.mem.clone(),
+                    });
                 }
-            }
-            RicKind::Splice => (vec![], vec![]),
+                // Left the list while the push was in flight.
+                None => effects.push(RicEffect::UpdateDropped { node }),
+            },
+            RicKind::Splice => {}
             other => panic!("node cannot handle {other:?}"),
         }
     }
@@ -407,32 +423,49 @@ impl UpdateList {
     /// Checks list well-formedness (valid at all times thanks to atomic
     /// pointer surgery): the chain from `head` visits every member exactly
     /// once with consistent back pointers.
+    ///
+    /// One walk of the chain, O(members), with no visited set: while every
+    /// back pointer so far has matched, the chain cannot have revisited a
+    /// node (a revisit arrives from a different predecessor than the first
+    /// visit, or at the head with a predecessor at all), so a revisit
+    /// always surfaces as a back-pointer mismatch. Only then does the check
+    /// re-walk the visited prefix to tell a cycle from a broken pointer.
     pub fn check_list(&self) -> Result<(), String> {
-        let mut seen = std::collections::BTreeSet::new();
+        let mut steps = 0;
         let mut prev: Option<NodeId> = None;
         let mut cur = self.head;
         while let Some(n) = cur {
-            if !seen.insert(n) {
-                return Err(format!("cycle at {n}"));
-            }
             let m = self
-                .members
-                .get(&n)
+                .member(n)
                 .ok_or_else(|| format!("chain references non-member {n}"))?;
             if m.prev != prev {
+                if self.chain_prefix_contains(steps, n) {
+                    return Err(format!("cycle at {n}"));
+                }
                 return Err(format!("node {n}: prev = {:?}, expected {prev:?}", m.prev));
             }
+            steps += 1;
             prev = Some(n);
             cur = m.next;
         }
-        if seen.len() != self.members.len() {
-            return Err(format!(
-                "chain covers {} of {} members",
-                seen.len(),
-                self.members.len()
-            ));
+        if steps != self.count {
+            return Err(format!("chain covers {steps} of {} members", self.count));
         }
         Ok(())
+    }
+
+    /// Whether `node` is among the first `steps` nodes of the chain from
+    /// the head (all members, as [`Self::check_list`] has walked them).
+    fn chain_prefix_contains(&self, steps: usize, node: NodeId) -> bool {
+        let mut cur = self.head;
+        for _ in 0..steps {
+            match cur {
+                Some(n) if n == node => return true,
+                Some(n) => cur = self.member(n).and_then(|m| m.next),
+                None => return false,
+            }
+        }
+        false
     }
 }
 
@@ -689,6 +722,231 @@ mod tests {
         h.send(m);
         h.drain();
         let _ = h.u.read_update(0);
+    }
+
+    /// Every message kind at a valid destination, on a list holding
+    /// `[2, 1, 0]` (so pushes reach a member with a successor, the tail,
+    /// and a non-member).
+    fn one_of_each_kind() -> Vec<RicMsg> {
+        let (dir, node) = (Endpoint::Dir, Endpoint::Node);
+        let msg = |src, dst, kind| RicMsg {
+            src,
+            dst,
+            words: 1,
+            kind,
+        };
+        vec![
+            msg(node(4), dir, RicKind::ReadMiss),
+            msg(node(4), dir, RicKind::ReadUpdateReq),
+            msg(node(1), dir, RicKind::ReadUpdateReq),
+            msg(dir, node(4), RicKind::ReadReply { enrolled: false }),
+            msg(dir, node(2), RicKind::ReadReply { enrolled: true }),
+            msg(node(4), dir, RicKind::ReadGlobalReq { word: 1 }),
+            msg(dir, node(4), RicKind::ReadGlobalReply { word: 1 }),
+            msg(
+                node(4),
+                dir,
+                RicKind::WriteGlobal {
+                    word: 2,
+                    value: 77,
+                    wid: 5,
+                },
+            ),
+            msg(dir, node(4), RicKind::WriteAck { wid: 5 }),
+            msg(dir, node(2), RicKind::UpdatePush),
+            msg(node(1), node(0), RicKind::UpdatePush),
+            msg(node(0), node(4), RicKind::UpdatePush),
+            msg(node(2), dir, RicKind::HeadChange),
+            msg(node(1), node(0), RicKind::Splice),
+        ]
+    }
+
+    #[test]
+    fn deliver_into_appends_what_deliver_returns() {
+        let mut base = UpdateList::new(4);
+        base.mem_mut().set(0, 9);
+        for n in [0, 1, 2] {
+            let req = base.read_update(n);
+            base.deliver(req[0]);
+        }
+        let kept_msg = UpdateList::ctl(Endpoint::Dir, Endpoint::Node(7), RicKind::Splice);
+        let kept_effect = RicEffect::UpdateDropped { node: 7 };
+        for msg in one_of_each_kind() {
+            let (mut a, mut b) = (base.clone(), base.clone());
+            let (want_msgs, want_effects) = a.deliver(msg);
+            let mut msgs = vec![kept_msg];
+            let mut effects = vec![kept_effect.clone()];
+            b.deliver_into(msg, &mut msgs, &mut effects);
+            assert_eq!(msgs[0], kept_msg, "{msg:?}: caller's messages kept");
+            assert_eq!(effects[0], kept_effect, "{msg:?}: caller's effects kept");
+            assert_eq!(msgs[1..], want_msgs[..], "{msg:?}: messages");
+            assert_eq!(effects[1..], want_effects[..], "{msg:?}: effects");
+            assert_eq!(a.members_in_order(), b.members_in_order(), "{msg:?}");
+            assert_eq!(a.mem(), b.mem(), "{msg:?}");
+        }
+    }
+
+    /// `(node, prev, next)` links of a hand-built list state.
+    type Links = [(NodeId, Option<NodeId>, Option<NodeId>)];
+
+    /// A list whose head and links are set directly, bypassing the
+    /// protocol's pointer surgery.
+    fn with_links(head: Option<NodeId>, links: &Links) -> UpdateList {
+        let mut u = UpdateList::new(4);
+        u.head = head;
+        for &(n, prev, next) in links {
+            if n >= u.links.len() {
+                u.links.resize(n + 1, None);
+            }
+            u.links[n] = Some(Member { prev, next });
+        }
+        u.count = u.links.iter().flatten().count();
+        u
+    }
+
+    /// Reference model of `check_list`: a walk that records every visited
+    /// node in a `BTreeSet`, over the same state held in a `BTreeMap`.
+    fn oracle_check(head: Option<NodeId>, links: &Links) -> Result<(), String> {
+        let members: std::collections::BTreeMap<NodeId, Member> = links
+            .iter()
+            .map(|&(n, prev, next)| (n, Member { prev, next }))
+            .collect();
+        let mut seen = std::collections::BTreeSet::new();
+        let mut prev: Option<NodeId> = None;
+        let mut cur = head;
+        while let Some(n) = cur {
+            if !seen.insert(n) {
+                return Err(format!("cycle at {n}"));
+            }
+            let m = members
+                .get(&n)
+                .ok_or_else(|| format!("chain references non-member {n}"))?;
+            if m.prev != prev {
+                return Err(format!("node {n}: prev = {:?}, expected {prev:?}", m.prev));
+            }
+            prev = Some(n);
+            cur = m.next;
+        }
+        if seen.len() != members.len() {
+            return Err(format!(
+                "chain covers {} of {} members",
+                seen.len(),
+                members.len()
+            ));
+        }
+        Ok(())
+    }
+
+    fn assert_same_verdict(head: Option<NodeId>, links: &Links) {
+        assert_eq!(
+            with_links(head, links).check_list(),
+            oracle_check(head, links),
+            "head {head:?}, links {links:?}"
+        );
+    }
+
+    #[test]
+    fn check_list_matches_oracle_on_corrupted_lists() {
+        // well-formed: empty, one member, three members
+        assert_same_verdict(None, &[]);
+        assert_same_verdict(Some(3), &[(3, None, None)]);
+        let ok = [
+            (2, None, Some(1)),
+            (1, Some(2), Some(0)),
+            (0, Some(1), None),
+        ];
+        assert_same_verdict(Some(2), &ok);
+        assert!(with_links(Some(2), &ok).check_list().is_ok());
+        let cases: &[(Option<NodeId>, &Links, &str)] = &[
+            // the tail points back at the head
+            (
+                Some(2),
+                &[
+                    (2, None, Some(1)),
+                    (1, Some(2), Some(0)),
+                    (0, Some(1), Some(2)),
+                ],
+                "cycle at 2",
+            ),
+            // a self-loop in mid-list
+            (
+                Some(2),
+                &[(2, None, Some(1)), (1, Some(2), Some(1))],
+                "cycle at 1",
+            ),
+            // a back pointer that skips a member
+            (
+                Some(2),
+                &[
+                    (2, None, Some(1)),
+                    (1, Some(2), Some(0)),
+                    (0, Some(2), None),
+                ],
+                "node 0: prev = Some(2), expected Some(1)",
+            ),
+            // a head with a back pointer
+            (Some(2), &[(2, Some(1), None), (1, None, None)], "node 2"),
+            // the chain runs into a node that never enrolled
+            (
+                Some(2),
+                &[(2, None, Some(1)), (1, Some(2), Some(5))],
+                "non-member 5",
+            ),
+            (Some(70), &[], "non-member 70"),
+            // a member the chain never reaches
+            (
+                Some(2),
+                &[(2, None, None), (1, Some(2), None)],
+                "chain covers 1 of 2 members",
+            ),
+            (None, &[(0, None, None)], "chain covers 0 of 1 members"),
+        ];
+        for &(head, links, want) in cases {
+            assert_same_verdict(head, links);
+            let got = with_links(head, links).check_list().unwrap_err();
+            assert!(got.contains(want), "{got:?} should mention {want:?}");
+        }
+    }
+
+    proptest::proptest! {
+        /// A well-formed list of up to six members with up to three links
+        /// overwritten at random (including pointers to non-members and the
+        /// head itself): the dense walk and the `BTreeSet` walk agree on
+        /// every state, error text included.
+        #[test]
+        fn prop_check_list_matches_oracle(
+            order in proptest::collection::vec(0usize..8, 0..7),
+            edits in proptest::collection::vec((0usize..9, 0u8..3, 0usize..10), 0..4),
+        ) {
+            let mut chain: Vec<NodeId> = Vec::new();
+            for n in order {
+                if !chain.contains(&n) {
+                    chain.push(n);
+                }
+            }
+            let mut head = chain.first().copied();
+            let mut links: Vec<_> = chain
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| {
+                    let prev = i.checked_sub(1).map(|p| chain[p]);
+                    (n, prev, chain.get(i + 1).copied())
+                })
+                .collect();
+            // edit (target, field, value): value 9 means `None`
+            for (target, field, value) in edits {
+                let value = (value < 9).then_some(value);
+                match (field, links.iter_mut().find(|l| l.0 == target)) {
+                    (0, Some(l)) => l.1 = value,
+                    (1, Some(l)) => l.2 = value,
+                    _ => head = value,
+                }
+            }
+            proptest::prop_assert_eq!(
+                with_links(head, &links).check_list(),
+                oracle_check(head, &links)
+            );
+        }
     }
 
     proptest::proptest! {

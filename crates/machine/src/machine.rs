@@ -205,6 +205,10 @@ pub struct Machine {
     nodes: Vec<Node>,
     /// RIC controllers for shared data blocks (DataScheme::Ric).
     ric: Vec<UpdateList>,
+    /// Outgoing messages and effects of the RIC delivery in progress; kept
+    /// between deliveries so an update push allocates nothing.
+    ric_msgs: Vec<RicMsg>,
+    ric_effects: Vec<RicEffect>,
     /// Coherence backends for shared data blocks (every non-RIC
     /// [`DataScheme`]): the WBI directory, snooping MESI, or Dragon,
     /// behind the one [`CoherenceProtocol`] trait.
@@ -537,6 +541,8 @@ impl Machine {
             mems: (0..n).map(|_| MemModule::new()).collect(),
             nodes,
             ric: (0..shared).map(|_| UpdateList::new(bw)).collect(),
+            ric_msgs: Vec::new(),
+            ric_effects: Vec::new(),
             coh: (0..shared)
                 .map(|_| -> Box<dyn CoherenceProtocol> {
                     match cfg.data {
@@ -1424,15 +1430,19 @@ impl Machine {
             }
             Proto::Ric { block, msg } => {
                 let len_before = self.tracer.is_on().then(|| self.ric[block].len());
-                let (msgs, effects) = self.ric[block].deliver(msg);
+                let mut msgs = std::mem::take(&mut self.ric_msgs);
+                let mut effects = std::mem::take(&mut self.ric_effects);
+                self.ric[block].deliver_into(msg, &mut msgs, &mut effects);
                 let out_data = msgs.iter().any(|m| m.words > 1);
                 let t_done =
                     self.processing_done(dst, home, touches_memory, in_words, out_data, now);
                 self.emit_ric_len_change(block, len_before, t_done);
-                self.apply_ric_effects(block, effects, t_done);
-                for msg in msgs {
+                self.apply_ric_effects(block, effects.drain(..), t_done);
+                for msg in msgs.drain(..) {
                     self.route(t_done, Proto::Ric { block, msg });
                 }
+                self.ric_msgs = msgs;
+                self.ric_effects = effects;
             }
             Proto::Coh { block, msg } => {
                 let (msgs, effects) = self.coh[block].deliver(msg);
@@ -1813,7 +1823,12 @@ impl Machine {
         }
     }
 
-    fn apply_ric_effects(&mut self, block: BlockId, effects: Vec<RicEffect>, t: Cycle) {
+    fn apply_ric_effects(
+        &mut self,
+        block: BlockId,
+        effects: impl Iterator<Item = RicEffect>,
+        t: Cycle,
+    ) {
         for e in effects {
             match e {
                 RicEffect::Filled {
@@ -2650,7 +2665,7 @@ impl Machine {
                 self.events.schedule(now + 1, Ev::Resume(node));
             }
             Op::Lock(lock, mode) => {
-                for &h in &self.nodes[node].held_locks.clone() {
+                for &h in &self.nodes[node].held_locks {
                     if h != lock {
                         self.lock_order.insert((h, lock));
                     }

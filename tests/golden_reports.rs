@@ -1,19 +1,31 @@
-//! Golden `--json` reports for the WBI directory.
+//! Golden `--json` reports for the WBI directory and the RIC update path.
 //!
-//! Each case runs the work-queue or hotspot model on a WBI machine and
-//! renders the report exactly as `ssmp run --json` prints it, then the
-//! final shared-memory and lock-block views. The committed files under
-//! `tests/golden/` pin those bytes, so a change to how the directory stores
-//! its sharers and lines must reproduce them exactly. The node counts put
-//! sharer ids on both sides of the 64-bit word boundaries (128 and 256
-//! nodes; the machine only accepts powers of two), and the variants cover
-//! the limited directory (victim choice) and the MESI exclusive-clean
-//! extension. The hotspot cases aim half of all references at one block,
-//! so its sharer set spans every word and each write fans out to many
-//! sharers.
+//! Each case runs the work-queue or hotspot model and renders the report
+//! exactly as `ssmp run --json` prints it, then the final shared-memory and
+//! lock-block views. The committed files under `tests/golden/` pin those
+//! bytes, so a change to how the directory stores its sharers and lines, or
+//! to how RIC update lists and node caches are stored, must reproduce them
+//! exactly.
+//!
+//! WBI cases: the node counts put sharer ids on both sides of the 64-bit
+//! word boundaries (128 and 256 nodes; the machine only accepts powers of
+//! two), and the variants cover the limited directory (victim choice) and
+//! the MESI exclusive-clean extension. The hotspot cases aim half of all
+//! references at one block, so its sharer set spans every word and each
+//! write fans out to many sharers.
+//!
+//! RIC cases: the paper's bc-cbl machine at 64 nodes pushes every
+//! `WRITE-GLOBAL` down an update list of up to 63 readers, and at 128
+//! nodes the list holds member ids past 64; the `ric` protocol preset at
+//! 128 nodes runs the hotspot's read-global traffic; one bc-cbl
+//! case arms the profiler, span stitcher and sanitizer (the report embeds
+//! the first two); one runs a duplicate-and-delay fault plan with
+//! retransmission on.
 
 use ssmp::engine::Json;
+use ssmp::machine::RetryPolicy;
 use ssmp::machine::{Machine, MachineConfig, Report, Workload};
+use ssmp::net::FaultConfig;
 use ssmp::workload::{Grain, Hotspot, HotspotParams, WorkQueue, WorkQueueParams};
 
 /// `(name, workload, nodes, size, variant)`, where `size` is the
@@ -32,6 +44,23 @@ const CASES: &[(&str, Model, usize, usize, Variant)] = &[
         Variant::SharerLimit(8),
     ),
     ("hot-wbi-mesi-128", Model::Hotspot, 128, 64, Variant::Mesi),
+    ("wq-bccbl-64", Model::WorkQueue, 64, 128, Variant::BcCbl),
+    ("wq-bccbl-128", Model::WorkQueue, 128, 128, Variant::BcCbl),
+    ("hot-ric-128", Model::Hotspot, 128, 64, Variant::Ric),
+    (
+        "wq-bccbl-armed-16",
+        Model::WorkQueue,
+        16,
+        64,
+        Variant::BcCblArmed,
+    ),
+    (
+        "wq-bccbl-faults-16",
+        Model::WorkQueue,
+        16,
+        64,
+        Variant::BcCblFaults,
+    ),
 ];
 
 /// Which workload a case runs.
@@ -43,23 +72,41 @@ enum Model {
     Hotspot,
 }
 
-/// Which WBI directory organisation a case runs.
+/// Which machine a case runs.
 #[derive(Debug, Clone, Copy)]
 enum Variant {
-    /// Full-map directory (`MachineConfig::wbi`).
+    /// Full-map WBI directory (`MachineConfig::wbi`).
     FullMap,
-    /// A `Dir_i` limited directory that evicts on overflow.
+    /// A `Dir_i` limited WBI directory that evicts on overflow.
     SharerLimit(usize),
     /// The MESI exclusive-clean extension.
     Mesi,
+    /// The paper's machine: buffered consistency, RIC, CBL
+    /// (`MachineConfig::bc_cbl`).
+    BcCbl,
+    /// RIC data coherence on TTS locks (`MachineConfig::ric`).
+    Ric,
+    /// `BcCbl` with `--profile --spans --check` armed.
+    BcCblArmed,
+    /// `BcCbl` with `--dup-prob 0.05 --delay-prob 0.05 --retry`.
+    BcCblFaults,
 }
 
 fn run(model: Model, nodes: usize, size: usize, variant: Variant) -> Report {
-    let mut cfg = MachineConfig::wbi(nodes);
+    let armed = matches!(variant, Variant::BcCblArmed);
+    let mut cfg = match variant {
+        Variant::FullMap | Variant::SharerLimit(_) | Variant::Mesi => MachineConfig::wbi(nodes),
+        Variant::BcCbl | Variant::BcCblArmed | Variant::BcCblFaults => MachineConfig::bc_cbl(nodes),
+        Variant::Ric => MachineConfig::ric(nodes),
+    };
     match variant {
-        Variant::FullMap => {}
         Variant::SharerLimit(limit) => cfg.wbi_sharer_limit = Some(limit),
         Variant::Mesi => cfg.wbi_mesi = true,
+        Variant::BcCblFaults => {
+            cfg.fault = Some(FaultConfig::uniform(0xFA, 0.0, 0.05, 0.05));
+            cfg.retry = RetryPolicy::enabled();
+        }
+        _ => {}
     }
     let (wl, locks): (Box<dyn Workload>, usize) = match model {
         Model::WorkQueue => {
@@ -76,6 +123,9 @@ fn run(model: Model, nodes: usize, size: usize, variant: Variant) -> Report {
     Machine::builder(cfg)
         .workload(wl)
         .locks(locks)
+        .profile(armed)
+        .spans(armed)
+        .check(armed)
         .build()
         .expect("valid config")
         .run()
@@ -147,4 +197,29 @@ fn hotspot_sharer_limit_matches_golden() {
 #[test]
 fn hotspot_mesi_matches_golden() {
     check("hot-wbi-mesi-128");
+}
+
+#[test]
+fn ric_work_queue_64_nodes_matches_golden() {
+    check("wq-bccbl-64");
+}
+
+#[test]
+fn ric_work_queue_128_nodes_matches_golden() {
+    check("wq-bccbl-128");
+}
+
+#[test]
+fn ric_hotspot_128_nodes_matches_golden() {
+    check("hot-ric-128");
+}
+
+#[test]
+fn ric_armed_observers_match_golden() {
+    check("wq-bccbl-armed-16");
+}
+
+#[test]
+fn ric_dup_delay_with_retry_matches_golden() {
+    check("wq-bccbl-faults-16");
 }
