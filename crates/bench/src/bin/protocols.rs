@@ -14,7 +14,7 @@
 //! invalidations delivered, update pushes applied — so the emitted
 //! `ssmp-sweep-v1` artifact is byte-for-byte reproducible; CI regenerates
 //! it and diffs against the committed `BENCH_protocols.json` with
-//! `perfguard` (every key is in its exact-match class).
+//! `ssmp diff --gate` (every key is in its exact-match class).
 //!
 //! Usage: `protocols [--quick] [--json] [--jobs N] [--seed N] [--out FILE]`
 

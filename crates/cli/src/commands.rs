@@ -41,8 +41,9 @@ worker threads; the emitted artifact is byte-identical for any --jobs.
   --out <file>                    write the full JSON artifact (points
                                   incl. failures + per-point seeds)
   --diff-against <artifact>       diff this sweep against a committed
-                                  ssmp-sweep-v1 baseline (the perfguard
-                                  policies gate it; violations exit 1)
+                                  ssmp-sweep-v1 baseline (gated by key
+                                  class as in 'ssmp diff --gate';
+                                  violations exit 1)
 
 differential observability:
   ssmp diff takes any two artifacts of the same kind — two --json run
@@ -56,7 +57,7 @@ differential observability:
   handoff shifts, span-segment tiling shifts with percentile-by-
   percentile comparison, and a ranked top-movers summary. --json /
   --out emit the deterministic ssmp-diff-v1 document; --gate exits 1
-  on policy violations (sweeps gate by perfguard key class: exact keys
+  on policy violations (sweeps gate by key class: exact keys
   must match, speedup sags past --tolerance fail, wall-clock keys are
   informational; other kinds gate on strict identity). Either path may
   be '-' for stdin.
@@ -1002,7 +1003,7 @@ fn sweep(f: &Flags) -> Result<(), String> {
         std::process::exit(1);
     }
     // Differential gate: diff this sweep's artifact against a committed
-    // baseline (perfguard's key classes decide what may move).
+    // baseline (the sweep key classes decide what may move).
     if let Some(base_path) = f.get("diff-against") {
         let base = ssmp_diff::Artifact::parse(&read_input(base_path)?)
             .map_err(|e| format!("--diff-against {base_path}: {e}"))?;

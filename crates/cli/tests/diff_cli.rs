@@ -12,6 +12,9 @@
 //!    passes `--gate`.
 //! 4. **Gate semantics** — a drifted deterministic artifact fails
 //!    `--gate` with exit 1; `sweep --diff-against` gates the same way.
+//! 5. **Committed baselines** — each of the four `BENCH_*.json` files
+//!    passes the `--gate` self-diff CI runs; a tampered exact key fails
+//!    and is named; an unreadable or wrong-kind artifact exits 2.
 //!
 //! Plus the satellite surfaces: the `--config` deprecation warning,
 //! `trace stats --json`, and `-` (stdin) operands for analyze/spans/diff.
@@ -167,6 +170,76 @@ fn diff_rejects_kind_mismatch_and_bad_arity() {
     );
     std::fs::remove_file(rep_p).ok();
     std::fs::remove_file(sw_p).ok();
+}
+
+/// A committed `BENCH_*.json` baseline at the repository root.
+fn baseline(name: &str) -> String {
+    let p = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(name);
+    p.to_str().expect("utf-8 path").to_string()
+}
+
+#[test]
+fn committed_baselines_pass_self_diff_gate() {
+    for name in [
+        "BENCH_table2.json",
+        "BENCH_latency.json",
+        "BENCH_throughput.json",
+        "BENCH_protocols.json",
+    ] {
+        let path = baseline(name);
+        let out = run_cli_ok(&["diff", &path, &path, "--gate", "--tolerance", "0.5"]);
+        let text = String::from_utf8(out).unwrap();
+        assert!(
+            text.contains("== ssmp diff (sweep)"),
+            "{name}: not diffed as a sweep\n{text}"
+        );
+        assert!(text.contains("identical: no deltas"), "{name}\n{text}");
+    }
+}
+
+#[test]
+fn tampered_baseline_key_fails_gate_and_is_named() {
+    let base = baseline("BENCH_protocols.json");
+    let doc = std::fs::read_to_string(&base).unwrap();
+    // perturb one deterministic value: any movement must trip the gate
+    let tampered = doc.replacen("\"completion\":", "\"completion\":1, \"x_completion\":", 1);
+    assert_ne!(doc, tampered, "fixture must actually change");
+    let (cur_p, cur) = tmp("tampered-protocols.json");
+    std::fs::write(&cur_p, tampered).unwrap();
+    let out = run_cli(&["diff", &base, &cur, "--gate"]);
+    assert_eq!(out.status.code(), Some(1), "drift must exit 1");
+    let table = String::from_utf8_lossy(&out.stdout);
+    assert!(table.contains("verdict"), "missing delta table\n{table}");
+    assert!(table.contains("DRIFT"), "no DRIFT verdict\n{table}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("1 violation(s)"), "{err}");
+    assert!(err.contains("'hotspot/ric.completion' drifted"), "{err}");
+    std::fs::remove_file(cur_p).ok();
+}
+
+#[test]
+fn unreadable_or_wrong_kind_baseline_exits_2() {
+    let out = run_cli(&[
+        "diff",
+        "/nonexistent/base.json",
+        "/nonexistent/cur.json",
+        "--gate",
+    ]);
+    assert_eq!(out.status.code(), Some(2), "load failure is a usage error");
+
+    // a report artifact is not a sweep: a usage error, not a violation
+    let (rep_p, rep) = tmp("not-a-sweep.json");
+    std::fs::write(&rep_p, "{\"completion_cycles\":10}").unwrap();
+    let out = run_cli(&["diff", &baseline("BENCH_table2.json"), &rep, "--gate"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("cannot diff a sweep artifact against a report artifact"),
+        "{err}"
+    );
+    std::fs::remove_file(rep_p).ok();
 }
 
 #[test]

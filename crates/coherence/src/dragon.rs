@@ -332,34 +332,32 @@ impl CoherenceProtocol for DragonBlock {
         }
     }
 
-    fn read_req(&mut self, node: NodeId) -> Vec<CohMsg> {
-        vec![self.ctl(Endpoint::Node(node), Endpoint::Dir, DragonKind::Rd)]
+    fn read_req(&mut self, node: NodeId, msgs: &mut Vec<CohMsg>) {
+        msgs.push(self.ctl(Endpoint::Node(node), Endpoint::Dir, DragonKind::Rd));
     }
 
-    fn write_req(&mut self, node: NodeId, word: u8, value: u64) -> Vec<CohMsg> {
+    fn write_req(&mut self, node: NodeId, word: u8, value: u64, msgs: &mut Vec<CohMsg>) {
         let kind = if self.lines.contains_key(&node) {
             DragonKind::Upd { word, value }
         } else {
             DragonKind::UpdFill { word, value }
         };
-        vec![self.ctl(Endpoint::Node(node), Endpoint::Dir, kind)]
+        msgs.push(self.ctl(Endpoint::Node(node), Endpoint::Dir, kind));
     }
 
-    fn deliver(&mut self, msg: CohMsg) -> (Vec<CohMsg>, Vec<CohEffect>) {
+    fn deliver(&mut self, msg: CohMsg, msgs: &mut Vec<CohMsg>, effects: &mut Vec<CohEffect>) {
         let CohKind::Dragon(kind) = msg.kind else {
             panic!("Dragon backend delivered a foreign message: {:?}", msg.kind);
         };
-        let mut msgs = Vec::new();
-        let mut effects = Vec::new();
         match (kind, msg.src, msg.dst) {
             (DragonKind::Rd, Endpoint::Node(n), Endpoint::Dir) => {
-                self.begin_or_queue(n, Txn::Read, &mut msgs, &mut effects);
+                self.begin_or_queue(n, Txn::Read, msgs, effects);
             }
             (DragonKind::Upd { word, value }, Endpoint::Node(n), Endpoint::Dir) => {
-                self.begin_or_queue(n, Txn::Upd { word, value }, &mut msgs, &mut effects);
+                self.begin_or_queue(n, Txn::Upd { word, value }, msgs, effects);
             }
             (DragonKind::UpdFill { word, value }, Endpoint::Node(n), Endpoint::Dir) => {
-                self.begin_or_queue(n, Txn::UpdFill { word, value }, &mut msgs, &mut effects);
+                self.begin_or_queue(n, Txn::UpdFill { word, value }, msgs, effects);
             }
             (DragonKind::Fetch, _, Endpoint::Node(n)) => {
                 if let Some(line) = self.lines.get_mut(&n) {
@@ -374,8 +372,8 @@ impl CoherenceProtocol for DragonBlock {
             (DragonKind::OwnerData | DragonKind::FetchMiss, _, Endpoint::Dir) => {
                 let p = self.busy.take().expect("writeback with no transaction");
                 // the old owner is Sc now; re-dispatch the blocked request
-                self.begin(p.requester, p.txn, &mut msgs, &mut effects);
-                self.pump_queue(&mut msgs, &mut effects);
+                self.begin(p.requester, p.txn, msgs, effects);
+                self.pump_queue(msgs, effects);
             }
             (DragonKind::UpdPush { word, value }, _, Endpoint::Node(n)) => {
                 if let Some(line) = self.lines.get_mut(&n) {
@@ -407,7 +405,7 @@ impl CoherenceProtocol for DragonBlock {
                     } else {
                         self.ctl(Endpoint::Dir, Endpoint::Node(p.requester), done)
                     });
-                    self.pump_queue(&mut msgs, &mut effects);
+                    self.pump_queue(msgs, effects);
                 }
             }
             (DragonKind::UpdDone { word, value, .. }, _, Endpoint::Node(n)) => {
@@ -428,7 +426,6 @@ impl CoherenceProtocol for DragonBlock {
             }
             (k, src, dst) => panic!("Dragon: misrouted {k:?} from {src:?} to {dst:?}"),
         }
-        (msgs, effects)
     }
 
     fn coherent_word(&self, word: u8) -> u64 {

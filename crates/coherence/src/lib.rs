@@ -20,14 +20,20 @@
 //! per-block controller holds memory copy, directory/line state, and the
 //! blocking-transaction queue; [`CohMsg`]s are timing tokens (source,
 //! destination, payload size, kind) whose data travels implicitly through
-//! the controller. The RIC scheme stays outside the trait — its update
-//! lists live in the node caches and the write buffer, a different shape
-//! entirely (and the paper's proposal, not a baseline).
+//! the controller. Requests and deliveries append their wires and effects
+//! to caller-owned buffers (an outbox the machine reuses for every
+//! delivery), so a delivered message allocates nothing. The machine runs
+//! the TTS lock blocks and the software barrier's flag through the same
+//! trait, always on the WBI directory. The RIC scheme stays outside the
+//! trait — its update lists live in the node caches and the write buffer,
+//! a different shape entirely (and the paper's proposal, not a baseline).
 
 #![warn(missing_docs)]
 
 pub mod dragon;
 pub mod mesi;
+#[cfg(test)]
+mod outbox_tests;
 
 pub use dragon::{DragonBlock, DragonKind, DragonState};
 pub use mesi::{MesiBlock, MesiKind};
@@ -61,6 +67,17 @@ pub struct CohMsg {
     pub words: u32,
     /// Protocol content.
     pub kind: CohKind,
+}
+
+impl From<WbiMsg> for CohMsg {
+    fn from(m: WbiMsg) -> Self {
+        Self {
+            src: m.src,
+            dst: m.dst,
+            words: m.words,
+            kind: CohKind::Wbi(m.kind),
+        }
+    }
 }
 
 impl CohMsg {
@@ -148,12 +165,25 @@ pub enum CohEffect {
     },
 }
 
-/// One shared data block's coherence backend, as the machine sees it.
+impl From<WbiEffect> for CohEffect {
+    fn from(e: WbiEffect) -> Self {
+        match e {
+            WbiEffect::FilledShared { node, data } => Self::FilledShared { node, data },
+            WbiEffect::FilledExcl { node, data } => Self::FilledExcl { node, data },
+            WbiEffect::UpgradeGranted { node } => Self::UpgradeGranted { node },
+            WbiEffect::Invalidated { node } => Self::Invalidated { node },
+            WbiEffect::Downgraded { node } => Self::Downgraded { node },
+        }
+    }
+}
+
+/// One coherence line's backend, as the machine sees it.
 ///
 /// The machine calls `local_read`/`local_write` on the issuing node's
 /// behalf (hit path), falls back to `read_req`/`write_req` on a miss, and
 /// feeds every delivered [`CohMsg`] back through `deliver`, routing the
-/// returned messages and applying the returned effects. The remaining
+/// appended messages and applying the appended effects. Those three
+/// append to the caller's buffers and never clear them. The remaining
 /// methods serve the finish-time memory view, watchdog line summaries,
 /// and the sanitizer's per-protocol invariants.
 pub trait CoherenceProtocol {
@@ -165,16 +195,19 @@ pub trait CoherenceProtocol {
     /// the write hit; a miss must go through [`CoherenceProtocol::write_req`].
     fn local_write(&mut self, node: NodeId, word: u8, value: u64) -> bool;
 
-    /// Starts a read transaction for `node`; returns the request wire(s).
-    fn read_req(&mut self, node: NodeId) -> Vec<CohMsg>;
+    /// Starts a read transaction for `node`; appends the request wire(s)
+    /// to `msgs`.
+    fn read_req(&mut self, node: NodeId, msgs: &mut Vec<CohMsg>);
 
-    /// Starts a write transaction for `node`. Invalidate backends ignore
-    /// `word`/`value` (the store happens locally after the ownership
-    /// grant); Dragon carries them to home, where the store serializes.
-    fn write_req(&mut self, node: NodeId, word: u8, value: u64) -> Vec<CohMsg>;
+    /// Starts a write transaction for `node`; appends the request wire(s)
+    /// to `msgs`. Invalidate backends ignore `word`/`value` (the store
+    /// happens locally after the ownership grant); Dragon carries them to
+    /// home, where the store serializes.
+    fn write_req(&mut self, node: NodeId, word: u8, value: u64, msgs: &mut Vec<CohMsg>);
 
-    /// Processes a delivered message; returns follow-on wires and effects.
-    fn deliver(&mut self, msg: CohMsg) -> (Vec<CohMsg>, Vec<CohEffect>);
+    /// Processes a delivered message; appends the follow-on wires to
+    /// `msgs` and the effects to `effects`.
+    fn deliver(&mut self, msg: CohMsg, msgs: &mut Vec<CohMsg>, effects: &mut Vec<CohEffect>);
 
     /// The coherent value of `word` at quiescence: the exclusive owner's
     /// copy if one exists, else home memory.
@@ -208,34 +241,21 @@ pub trait CoherenceProtocol {
     fn quiescent_invariant(&self) -> &'static str;
 }
 
-fn wrap_wbi(msgs: Vec<WbiMsg>) -> Vec<CohMsg> {
-    msgs.into_iter()
-        .map(|m| CohMsg {
-            src: m.src,
-            dst: m.dst,
-            words: m.words,
-            kind: CohKind::Wbi(m.kind),
-        })
-        .collect()
+/// Appends each `S` to a `Vec<T>` converted as it arrives: the WBI
+/// directory writes its own message and effect types straight into the
+/// trait's buffers.
+struct Converting<'a, T>(&'a mut Vec<T>);
+
+impl<S: Into<T>, T> Extend<S> for Converting<'_, T> {
+    fn extend<I: IntoIterator<Item = S>>(&mut self, iter: I) {
+        self.0.extend(iter.into_iter().map(Into::into));
+    }
 }
 
-fn wrap_wbi_effects(effects: Vec<WbiEffect>) -> Vec<CohEffect> {
-    effects
-        .into_iter()
-        .map(|e| match e {
-            WbiEffect::FilledShared { node, data } => CohEffect::FilledShared { node, data },
-            WbiEffect::FilledExcl { node, data } => CohEffect::FilledExcl { node, data },
-            WbiEffect::UpgradeGranted { node } => CohEffect::UpgradeGranted { node },
-            WbiEffect::Invalidated { node } => CohEffect::Invalidated { node },
-            WbiEffect::Downgraded { node } => CohEffect::Downgraded { node },
-        })
-        .collect()
-}
-
-/// The WBI directory baseline behind the trait: a thin wrapper that tags
-/// messages `CohKind::Wbi` and maps effects one-to-one, so the machine's
-/// behavior (timing, counters, traces) is byte-identical to the pre-trait
-/// `DataScheme::Wbi` dispatch.
+/// The WBI directory behind the trait: its messages are tagged
+/// `CohKind::Wbi` and its effects mapped one-to-one as they are appended,
+/// so the machine's behavior (timing, counters, traces) is byte-identical
+/// to the directory driven directly.
 impl CoherenceProtocol for WbiBlock {
     fn local_read(&self, node: NodeId, word: u8) -> Option<u64> {
         WbiBlock::local_read(self, node, word)
@@ -245,28 +265,25 @@ impl CoherenceProtocol for WbiBlock {
         WbiBlock::local_write(self, node, word, value)
     }
 
-    fn read_req(&mut self, node: NodeId) -> Vec<CohMsg> {
-        wrap_wbi(WbiBlock::read_req(self, node))
+    fn read_req(&mut self, node: NodeId, msgs: &mut Vec<CohMsg>) {
+        self.read_req_into(node, &mut Converting(msgs));
     }
 
-    fn write_req(&mut self, node: NodeId, _word: u8, _value: u64) -> Vec<CohMsg> {
-        wrap_wbi(WbiBlock::write_req(self, node))
+    fn write_req(&mut self, node: NodeId, _word: u8, _value: u64, msgs: &mut Vec<CohMsg>) {
+        self.write_req_into(node, &mut Converting(msgs));
     }
 
-    fn deliver(&mut self, msg: CohMsg) -> (Vec<CohMsg>, Vec<CohEffect>) {
+    fn deliver(&mut self, msg: CohMsg, msgs: &mut Vec<CohMsg>, effects: &mut Vec<CohEffect>) {
         let CohKind::Wbi(kind) = msg.kind else {
             panic!("WBI backend delivered a foreign message: {:?}", msg.kind);
         };
-        let (msgs, effects) = WbiBlock::deliver(
-            self,
-            WbiMsg {
-                src: msg.src,
-                dst: msg.dst,
-                words: msg.words,
-                kind,
-            },
-        );
-        (wrap_wbi(msgs), wrap_wbi_effects(effects))
+        let msg = WbiMsg {
+            src: msg.src,
+            dst: msg.dst,
+            words: msg.words,
+            kind,
+        };
+        self.deliver_into(msg, &mut Converting(msgs), &mut Converting(effects));
     }
 
     fn coherent_word(&self, word: u8) -> u64 {
@@ -342,17 +359,18 @@ mod tests {
 
         pub fn pump(&mut self) {
             while let Some(m) = self.wire.pop_front() {
-                let (msgs, effects) = self.b.deliver(m);
+                let mut msgs = Vec::new();
+                self.b.deliver(m, &mut msgs, &mut self.effects);
                 self.b
                     .check_single_writer()
                     .expect("single-writer violated mid-protocol");
-                self.effects.extend(effects);
                 self.send(msgs);
             }
         }
 
         pub fn read(&mut self, node: NodeId) {
-            let msgs = self.b.read_req(node);
+            let mut msgs = Vec::new();
+            self.b.read_req(node, &mut msgs);
             self.send(msgs);
             self.pump();
         }
@@ -361,7 +379,8 @@ mod tests {
             if self.b.local_write(node, word, value) {
                 return;
             }
-            let msgs = self.b.write_req(node, word, value);
+            let mut msgs = Vec::new();
+            self.b.write_req(node, word, value, &mut msgs);
             self.send(msgs);
             self.pump();
             // invalidate backends store locally after the ownership
@@ -381,10 +400,17 @@ mod tests {
 
     #[test]
     fn every_backend_serializes_writes_coherently() {
-        for (name, b) in backends() {
+        // (backend, owner and sharers after the last write): the
+        // invalidate backends leave the last writer exclusive, Dragon
+        // keeps every copy shared and updated
+        let last: [(Option<NodeId>, Vec<NodeId>); 3] =
+            [(Some(0), vec![]), (Some(0), vec![]), (None, vec![0, 1, 2])];
+        for ((name, b), (owner, sharers)) in backends().into_iter().zip(last) {
             let mut h = Harness::new(b);
             h.read(0);
             h.read(1);
+            assert_eq!(h.b.owner(), None, "{name}: two readers, no owner");
+            assert_eq!(h.b.sharers(), vec![0, 1], "{name}: readers not sharing");
             h.write(2, 1, 77);
             h.write(0, 2, 88);
             h.pump();
@@ -392,7 +418,52 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{name}: not quiescent: {e}"));
             assert_eq!(h.b.coherent_word(1), 77, "{name}: lost write to word 1");
             assert_eq!(h.b.coherent_word(2), 88, "{name}: lost write to word 2");
+            assert_eq!(h.b.owner(), owner, "{name}: wrong final owner");
+            let mut got = h.b.sharers();
+            got.sort_unstable();
+            assert_eq!(got, sharers, "{name}: wrong final sharers");
         }
+    }
+
+    #[test]
+    fn wbi_backend_matches_direct_calls() {
+        // the trait path must not change the directory's behavior: the
+        // same read-then-write exchange through the inherent methods and
+        // through the trait sends the same wires and leaves one owner
+        let mut direct = WbiBlock::new(4);
+        let mut direct_sent = 0;
+        let mut wire: std::collections::VecDeque<WbiMsg> = direct.read_req(0).into();
+        direct_sent += wire.len();
+        let pump = |b: &mut WbiBlock, wire: &mut std::collections::VecDeque<WbiMsg>| {
+            let mut n = 0;
+            while let Some(m) = wire.pop_front() {
+                let (msgs, _) = b.deliver(m);
+                n += msgs.len();
+                wire.extend(msgs);
+            }
+            n
+        };
+        direct_sent += pump(&mut direct, &mut wire);
+        wire.extend(direct.write_req(1));
+        direct_sent += wire.len();
+        direct_sent += pump(&mut direct, &mut wire);
+        assert!(direct.local_write(1, 2, 9));
+
+        let mut wrapped = Harness::new(Box::new(WbiBlock::new(4)));
+        wrapped.read(0);
+        wrapped.write(1, 2, 9);
+        assert_eq!(wrapped.b.coherent_word(2), 9);
+        assert_eq!(
+            direct.dir_state(),
+            &ssmp_wbi::directory::DirState::Modified(1)
+        );
+        assert_eq!(wrapped.b.owner(), Some(1));
+        assert_eq!(wrapped.b.sharers(), Vec::<NodeId>::new());
+        assert_eq!(
+            wrapped.sent.len(),
+            direct_sent,
+            "trait path changed the WBI wire pattern"
+        );
     }
 
     #[test]
@@ -422,62 +493,6 @@ mod tests {
                 ("mesi.swmr", "mesi.quiescent"),
                 ("dragon.swmr", "dragon.update_coherence"),
             ]
-        );
-    }
-
-    #[test]
-    fn wbi_backend_matches_direct_calls() {
-        // the trait wrapper must not change the directory's behavior
-        let mut direct = WbiBlock::new(4);
-        let mut wrapped = Harness::new(Box::new(WbiBlock::new(4)));
-        // direct: read by 0 then write by 1, pumping WbiMsgs
-        let mut wire: std::collections::VecDeque<WbiMsg> = direct.read_req(0).into();
-        while let Some(m) = wire.pop_front() {
-            let (msgs, _) = direct.deliver(m);
-            wire.extend(msgs);
-        }
-        wire.extend(direct.write_req(1));
-        while let Some(m) = wire.pop_front() {
-            let (msgs, _) = direct.deliver(m);
-            wire.extend(msgs);
-        }
-        direct.local_write(1, 2, 9);
-        wrapped.read(0);
-        let msgs = wrapped.b.write_req(1, 2, 9);
-        wrapped.send(msgs);
-        wrapped.pump();
-        assert!(wrapped.b.local_write(1, 2, 9));
-        assert_eq!(wrapped.b.coherent_word(2), 9);
-        assert_eq!(
-            direct.dir_state(),
-            &ssmp_wbi::directory::DirState::Modified(1)
-        );
-        assert_eq!(wrapped.b.owner(), Some(1));
-        // same wire count through both surfaces
-        assert_eq!(
-            wrapped.sent.len(),
-            {
-                // recount the direct exchange
-                let mut d2 = WbiBlock::new(4);
-                let mut n = 0;
-                let mut wire: std::collections::VecDeque<WbiMsg> = d2.read_req(0).into();
-                n += wire.len();
-                while let Some(m) = wire.pop_front() {
-                    let (msgs, _) = d2.deliver(m);
-                    n += msgs.len();
-                    wire.extend(msgs);
-                }
-                let more = d2.write_req(1);
-                n += more.len();
-                wire.extend(more);
-                while let Some(m) = wire.pop_front() {
-                    let (msgs, _) = d2.deliver(m);
-                    n += msgs.len();
-                    wire.extend(msgs);
-                }
-                n
-            },
-            "trait wrapper changed the WBI wire pattern"
         );
     }
 

@@ -274,31 +274,29 @@ impl CoherenceProtocol for MesiBlock {
         }
     }
 
-    fn read_req(&mut self, node: NodeId) -> Vec<CohMsg> {
-        vec![self.ctl(Endpoint::Node(node), Endpoint::Dir, MesiKind::BusRd)]
+    fn read_req(&mut self, node: NodeId, msgs: &mut Vec<CohMsg>) {
+        msgs.push(self.ctl(Endpoint::Node(node), Endpoint::Dir, MesiKind::BusRd));
     }
 
-    fn write_req(&mut self, node: NodeId, _word: u8, _value: u64) -> Vec<CohMsg> {
+    fn write_req(&mut self, node: NodeId, _word: u8, _value: u64, msgs: &mut Vec<CohMsg>) {
         let kind = if self.lines.contains_key(&node) {
             MesiKind::BusUpgr
         } else {
             MesiKind::BusRdx
         };
-        vec![self.ctl(Endpoint::Node(node), Endpoint::Dir, kind)]
+        msgs.push(self.ctl(Endpoint::Node(node), Endpoint::Dir, kind));
     }
 
-    fn deliver(&mut self, msg: CohMsg) -> (Vec<CohMsg>, Vec<CohEffect>) {
+    fn deliver(&mut self, msg: CohMsg, msgs: &mut Vec<CohMsg>, effects: &mut Vec<CohEffect>) {
         let CohKind::Mesi(kind) = msg.kind else {
             panic!("MESI backend delivered a foreign message: {:?}", msg.kind);
         };
-        let mut msgs = Vec::new();
-        let mut effects = Vec::new();
         match (kind, msg.src, msg.dst) {
             (MesiKind::BusRd, Endpoint::Node(n), Endpoint::Dir) => {
-                self.begin_or_queue(n, Txn::Read, &mut msgs);
+                self.begin_or_queue(n, Txn::Read, msgs);
             }
             (MesiKind::BusRdx | MesiKind::BusUpgr, Endpoint::Node(n), Endpoint::Dir) => {
-                self.begin_or_queue(n, Txn::Write, &mut msgs);
+                self.begin_or_queue(n, Txn::Write, msgs);
             }
             (MesiKind::Inv, _, Endpoint::Node(n)) => {
                 if self.lines.remove(&n).is_some() {
@@ -314,8 +312,8 @@ impl CoherenceProtocol for MesiBlock {
                 };
                 if done {
                     let p = self.busy.take().expect("checked above");
-                    self.grant_write(p.requester, &mut msgs);
-                    self.pump_queue(&mut msgs);
+                    self.grant_write(p.requester, msgs);
+                    self.pump_queue(msgs);
                 }
             }
             (MesiKind::Fetch { shared }, _, Endpoint::Node(n)) => {
@@ -346,10 +344,10 @@ impl CoherenceProtocol for MesiBlock {
                 self.owner = None;
                 let p = self.busy.take().expect("writeback with no transaction");
                 match p.txn {
-                    Txn::Read => self.serve_read_now(p.requester, &mut msgs),
-                    Txn::Write => self.grant_write(p.requester, &mut msgs),
+                    Txn::Read => self.serve_read_now(p.requester, msgs),
+                    Txn::Write => self.grant_write(p.requester, msgs),
                 }
-                self.pump_queue(&mut msgs);
+                self.pump_queue(msgs);
             }
             (MesiKind::DataShared | MesiKind::DataExclClean, _, Endpoint::Node(n)) => {
                 effects.push(CohEffect::FilledShared {
@@ -368,7 +366,6 @@ impl CoherenceProtocol for MesiBlock {
             }
             (k, src, dst) => panic!("MESI: misrouted {k:?} from {src:?} to {dst:?}"),
         }
-        (msgs, effects)
     }
 
     fn coherent_word(&self, word: u8) -> u64 {

@@ -40,7 +40,7 @@ use ssmp_engine::{
 };
 use ssmp_mem::{MemModule, PrivAccess, PrivCache, PrivateModel, PrivateOutcome};
 use ssmp_net::{FaultDecision, FaultPlan, FaultyInterconnect, Interconnect, MsgDir, MsgKind};
-use ssmp_wbi::{Backoff, WbiBlock, WbiEffect, WbiKind, WbiMsg};
+use ssmp_wbi::{Backoff, WbiBlock, WbiKind};
 
 use crate::config::{
     BarrierScheme, ConfigError, DataScheme, LockScheme, MachineConfig, PlantedBug, PrivateMode,
@@ -78,18 +78,13 @@ enum Proto {
         block: BlockId,
         msg: RicMsg,
     },
-    /// Shared-data coherence traffic, whatever the configured backend
-    /// (WBI directory, snooping MESI, or Dragon — see [`DataScheme`]).
+    /// Coherence traffic on one [`Line`]: shared data under whatever
+    /// backend is configured (WBI directory, snooping MESI, or Dragon —
+    /// see [`DataScheme`]), or a TTS lock block or the barrier flag on
+    /// the WBI directory.
     Coh {
-        block: BlockId,
+        line: Line,
         msg: CohMsg,
-    },
-    WbiLock {
-        lock: LockId,
-        msg: WbiMsg,
-    },
-    WbiFlag {
-        msg: WbiMsg,
     },
     Bar {
         msg: BarMsg,
@@ -130,12 +125,14 @@ struct PendingReq {
     msgs: Vec<(u64, Proto)>,
 }
 
-/// Which WBI controller a sync-substrate effect belongs to. Shared data
-/// blocks go through the [`CoherenceProtocol`] trait instead (see
-/// [`Machine::apply_coh_effects`]); WBI remains the fixed substrate for
-/// TTS lock blocks and the software barrier's release flag.
+/// A line on the coherence path: a shared data block, a TTS lock block
+/// (word 0 is the lock variable, the rest lock-governed data), or the
+/// software barrier's release flag. Every line is served through the
+/// [`CoherenceProtocol`] trait; lock blocks and the flag always run the
+/// WBI directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WbiCtx {
+enum Line {
+    Data(BlockId),
     Lock(LockId),
     Flag,
 }
@@ -203,24 +200,29 @@ pub struct Machine {
     net: FaultyInterconnect,
     mems: Vec<MemModule>,
     nodes: Vec<Node>,
-    /// RIC controllers for shared data blocks (DataScheme::Ric).
+    /// RIC controllers for shared data blocks (empty unless
+    /// `DataScheme::Ric`).
     ric: Vec<UpdateList>,
     /// Outgoing messages and effects of the RIC delivery in progress; kept
     /// between deliveries so an update push allocates nothing.
     ric_msgs: Vec<RicMsg>,
     ric_effects: Vec<RicEffect>,
-    /// Coherence backends for shared data blocks (every non-RIC
-    /// [`DataScheme`]): the WBI directory, snooping MESI, or Dragon,
+    /// Coherence backends for shared data blocks (empty under
+    /// `DataScheme::Ric`): the WBI directory, snooping MESI, or Dragon,
     /// behind the one [`CoherenceProtocol`] trait.
     coh: Vec<Box<dyn CoherenceProtocol>>,
-    /// CBL lock queues (LockScheme::Cbl).
+    /// Outgoing messages and effects of the coherence request or
+    /// delivery in progress, on any [`Line`]; kept between uses so the
+    /// coherence path allocates nothing per message.
+    coh_msgs: Vec<CohMsg>,
+    coh_effects: Vec<CohEffect>,
+    /// CBL lock queues (empty unless `LockScheme::Cbl`).
     cbl: Vec<LockQueue>,
     /// Contents of CBL lock blocks (travel with the grant).
     lock_data: Vec<BlockData>,
-    /// WBI controllers for lock blocks (TTS schemes). Word 0 is the lock
-    /// variable; the remaining words hold the lock-governed data.
+    /// TTS lock blocks (empty under `LockScheme::Cbl`): [`Line::Lock`].
     wbi_locks: Vec<WbiBlock>,
-    /// WBI controller for the software barrier's release flag.
+    /// The software barrier's release flag: [`Line::Flag`].
     flag: WbiBlock,
     swbar: ssmp_wbi::SwBarrier,
     hwbar: HwBarrier,
@@ -536,33 +538,40 @@ impl Machine {
         };
         let backoff_base = cfg.retry.backoff_base.max(1);
         let backoff_cap = cfg.retry.backoff_cap.max(backoff_base);
+        // Only the configured backends are built: RIC blocks or coherence
+        // blocks for shared data, CBL queues or TTS lock blocks for locks.
+        let ric_blocks = if cfg.data == DataScheme::Ric {
+            shared
+        } else {
+            0
+        };
+        let (cbl_locks, tts_locks) = match cfg.locks {
+            LockScheme::Cbl => (locks, 0),
+            LockScheme::Tts | LockScheme::TtsBackoff => (0, locks),
+        };
         Ok(Self {
             net,
             mems: (0..n).map(|_| MemModule::new()).collect(),
             nodes,
-            ric: (0..shared).map(|_| UpdateList::new(bw)).collect(),
+            ric: (0..ric_blocks).map(|_| UpdateList::new(bw)).collect(),
             ric_msgs: Vec::new(),
             ric_effects: Vec::new(),
-            coh: (0..shared)
+            coh: (0..shared - ric_blocks)
                 .map(|_| -> Box<dyn CoherenceProtocol> {
-                    match cfg.data {
-                        DataScheme::Mesi => Box::new(MesiBlock::new(bw, n)),
-                        DataScheme::Dragon => Box::new(DragonBlock::new(bw)),
-                        // RIC keeps a (quiescent) WBI vec too so block
-                        // indexing stays uniform across schemes.
-                        DataScheme::Ric | DataScheme::Wbi => {
-                            Box::new(match (cfg.wbi_sharer_limit, cfg.wbi_mesi) {
-                                (Some(limit), _) => WbiBlock::with_sharer_limit(bw, limit),
-                                (None, true) => WbiBlock::with_mesi(bw),
-                                (None, false) => WbiBlock::new(bw),
-                            })
-                        }
+                    match (cfg.data, cfg.wbi_sharer_limit) {
+                        (DataScheme::Mesi, _) => Box::new(MesiBlock::new(bw, n)),
+                        (DataScheme::Dragon, _) => Box::new(DragonBlock::new(bw)),
+                        (_, Some(limit)) => Box::new(WbiBlock::with_sharer_limit(bw, limit)),
+                        _ if cfg.wbi_mesi => Box::new(WbiBlock::with_mesi(bw)),
+                        _ => Box::new(WbiBlock::new(bw)),
                     }
                 })
                 .collect(),
-            cbl: (0..locks).map(|_| LockQueue::new(bw as u32)).collect(),
-            lock_data: (0..locks).map(|_| BlockData::new(bw)).collect(),
-            wbi_locks: (0..locks).map(|_| WbiBlock::new(bw)).collect(),
+            coh_msgs: Vec::new(),
+            coh_effects: Vec::new(),
+            cbl: (0..cbl_locks).map(|_| LockQueue::new(bw as u32)).collect(),
+            lock_data: (0..cbl_locks).map(|_| BlockData::new(bw)).collect(),
+            wbi_locks: (0..tts_locks).map(|_| WbiBlock::new(bw)).collect(),
             flag: WbiBlock::new(bw),
             swbar: ssmp_wbi::SwBarrier::new(n),
             hwbar: if cfg.hw_tree_barrier {
@@ -851,29 +860,19 @@ impl Machine {
 
     fn finish(mut self) -> Report {
         let net_stats = self.net.stats();
-        // Final coherent view of the shared region: under WBI a block's
-        // authoritative copy may still live in an owner's cache.
+        // Final coherent view of the shared region and the lock blocks: a
+        // line's authoritative copy may still live in an owner's cache.
         let bw = self.cfg.geometry.block_words;
-        let wbi_view = |b: &WbiBlock| -> Vec<u64> {
-            if let ssmp_wbi::directory::DirState::Modified(o) = b.dir_state() {
-                (0..bw)
-                    .map(|w| b.local_read(*o, w).unwrap_or_else(|| b.mem().get(w)))
-                    .collect()
-            } else {
-                b.mem().words().to_vec()
-            }
+        let view = |b: &dyn CoherenceProtocol| -> Vec<u64> {
+            (0..bw).map(|w| b.coherent_word(w)).collect()
         };
         let shared_memory: Vec<Vec<u64>> = match self.cfg.data {
             DataScheme::Ric => self.ric.iter().map(|u| u.mem().words().to_vec()).collect(),
-            _ => self
-                .coh
-                .iter()
-                .map(|b| (0..bw).map(|w| b.coherent_word(w)).collect())
-                .collect(),
+            _ => self.coh.iter().map(|b| view(b.as_ref())).collect(),
         };
         let lock_blocks: Vec<Vec<u64>> = match self.cfg.locks {
             LockScheme::Cbl => self.lock_data.iter().map(|d| d.words().to_vec()).collect(),
-            _ => self.wbi_locks.iter().map(wbi_view).collect(),
+            _ => self.wbi_locks.iter().map(|b| view(b)).collect(),
         };
         let dir_evictions: u64 = self.coh.iter().map(|b| b.dir_evictions()).sum();
         if dir_evictions > 0 {
@@ -986,9 +985,11 @@ impl Machine {
         match p {
             Proto::Cbl { lock, .. } => lock % n,
             Proto::Ric { block, .. } => block % n,
-            Proto::Coh { block, .. } => block % n,
-            Proto::WbiLock { lock, .. } => lock % n,
-            Proto::WbiFlag { .. } => n - 1,
+            Proto::Coh { line, .. } => match *line {
+                Line::Data(block) => block % n,
+                Line::Lock(lock) => lock % n,
+                Line::Flag => n - 1,
+            },
             Proto::Bar { .. } => 0,
             Proto::Sem { sem, .. } => (sem + 1) % n,
             Proto::PrivReq { home, .. }
@@ -1002,8 +1003,6 @@ impl Machine {
             Proto::Cbl { msg, .. } => (msg.src, msg.dst, msg.words),
             Proto::Ric { msg, .. } => (msg.src, msg.dst, msg.words),
             Proto::Coh { msg, .. } => (msg.src, msg.dst, msg.words),
-            Proto::WbiLock { msg, .. } => (msg.src, msg.dst, msg.words),
-            Proto::WbiFlag { msg } => (msg.src, msg.dst, msg.words),
             Proto::Bar { msg } => (msg.src, msg.dst, msg.words),
             Proto::Sem { msg, .. } => (msg.src, msg.dst, msg.words),
             Proto::PrivReq { node, .. } => (Endpoint::Node(*node), Endpoint::Dir, 1),
@@ -1025,9 +1024,11 @@ impl Machine {
         match p {
             Proto::Cbl { .. } => MsgKind::Cbl,
             Proto::Ric { .. } => MsgKind::Ric,
-            Proto::Coh { .. } => MsgKind::WbiData,
-            Proto::WbiLock { .. } => MsgKind::WbiLock,
-            Proto::WbiFlag { .. } => MsgKind::WbiFlag,
+            Proto::Coh { line, .. } => match line {
+                Line::Data(_) => MsgKind::WbiData,
+                Line::Lock(_) => MsgKind::WbiLock,
+                Line::Flag => MsgKind::WbiFlag,
+            },
             Proto::Bar { .. } => MsgKind::Barrier,
             Proto::Sem { .. } => MsgKind::Semaphore,
             Proto::PrivReq { .. } | Proto::PrivFill { .. } | Proto::PrivWb { .. } => {
@@ -1075,9 +1076,21 @@ impl Machine {
                 ssmp_core::ric::RicKind::HeadChange => CounterId::MsgRicHeadChange,
                 ssmp_core::ric::RicKind::Splice => CounterId::MsgRicSplice,
             },
-            Proto::WbiLock { msg, .. } | Proto::WbiFlag { msg } => Self::wbi_kind_key(msg.kind),
             Proto::Coh { msg, .. } => match msg.kind {
-                CohKind::Wbi(k) => Self::wbi_kind_key(k),
+                CohKind::Wbi(k) => match k {
+                    WbiKind::ReadReq => CounterId::MsgWbiReadReq,
+                    WbiKind::WriteReq => CounterId::MsgWbiWriteReq,
+                    WbiKind::DataShared => CounterId::MsgWbiDataShared,
+                    WbiKind::DataExclClean => CounterId::MsgWbiDataExclClean,
+                    WbiKind::DataExcl { .. } => CounterId::MsgWbiDataExcl,
+                    WbiKind::Inv => CounterId::MsgWbiInv,
+                    WbiKind::InvAck => CounterId::MsgWbiInvAck,
+                    WbiKind::FetchShared => CounterId::MsgWbiFetchShared,
+                    WbiKind::FetchExcl => CounterId::MsgWbiFetchExcl,
+                    WbiKind::OwnerData { .. } => CounterId::MsgWbiOwnerData,
+                    WbiKind::WriteBack => CounterId::MsgWbiWriteBack,
+                    WbiKind::WbRace => CounterId::MsgWbiWbRace,
+                },
                 CohKind::Mesi(k) => match k {
                     MesiKind::BusRd => CounterId::MsgMesiBusRd,
                     MesiKind::BusRdx => CounterId::MsgMesiBusRdx,
@@ -1123,25 +1136,6 @@ impl Machine {
         }
     }
 
-    /// Counter id of a WBI directory message, shared by the lock/flag
-    /// substrate and the WBI data backend behind [`Proto::Coh`].
-    fn wbi_kind_key(kind: WbiKind) -> CounterId {
-        match kind {
-            WbiKind::ReadReq => CounterId::MsgWbiReadReq,
-            WbiKind::WriteReq => CounterId::MsgWbiWriteReq,
-            WbiKind::DataShared => CounterId::MsgWbiDataShared,
-            WbiKind::DataExclClean => CounterId::MsgWbiDataExclClean,
-            WbiKind::DataExcl { .. } => CounterId::MsgWbiDataExcl,
-            WbiKind::Inv => CounterId::MsgWbiInv,
-            WbiKind::InvAck => CounterId::MsgWbiInvAck,
-            WbiKind::FetchShared => CounterId::MsgWbiFetchShared,
-            WbiKind::FetchExcl => CounterId::MsgWbiFetchExcl,
-            WbiKind::OwnerData { .. } => CounterId::MsgWbiOwnerData,
-            WbiKind::WriteBack => CounterId::MsgWbiWriteBack,
-            WbiKind::WbRace => CounterId::MsgWbiWbRace,
-        }
-    }
-
     /// Counter-key name of a message — the trace `detail` label.
     fn msg_name(p: &Proto) -> &'static str {
         Self::msg_key(p).name()
@@ -1157,7 +1151,6 @@ impl Machine {
                 CohKind::Mesi(_) => Family::Mesi,
                 CohKind::Dragon(_) => Family::Dragon,
             },
-            Proto::WbiLock { .. } | Proto::WbiFlag { .. } => Family::Wbi,
             Proto::Bar { .. } => Family::Bar,
             Proto::Sem { .. } => Family::Sem,
             Proto::PrivReq { .. } | Proto::PrivFill { .. } | Proto::PrivWb { .. } => Family::Priv,
@@ -1293,20 +1286,45 @@ impl Machine {
         }
     }
 
-    fn route_all_wbi(&mut self, depart: Cycle, ctx: WbiCtx, msgs: Vec<WbiMsg>) {
-        for msg in msgs {
-            let p = match ctx {
-                WbiCtx::Lock(lock) => Proto::WbiLock { lock, msg },
-                WbiCtx::Flag => Proto::WbiFlag { msg },
-            };
-            self.route(depart, p);
+    /// The coherence backend serving `line`.
+    fn line(&self, line: Line) -> &dyn CoherenceProtocol {
+        match line {
+            Line::Data(block) => self.coh[block].as_ref(),
+            Line::Lock(lock) => &self.wbi_locks[lock],
+            Line::Flag => &self.flag,
         }
     }
 
-    fn route_all_coh(&mut self, depart: Cycle, block: BlockId, msgs: Vec<CohMsg>) {
-        for msg in msgs {
-            self.route(depart, Proto::Coh { block, msg });
+    fn line_mut(&mut self, line: Line) -> &mut dyn CoherenceProtocol {
+        match line {
+            Line::Data(block) => self.coh[block].as_mut(),
+            Line::Lock(lock) => &mut self.wbi_locks[lock],
+            Line::Flag => &mut self.flag,
         }
+    }
+
+    /// Sends `node`'s read request for `line`.
+    fn coh_read_req(&mut self, depart: Cycle, line: Line, node: NodeId) {
+        let mut msgs = std::mem::take(&mut self.coh_msgs);
+        self.line_mut(line).read_req(node, &mut msgs);
+        self.route_coh(depart, line, msgs);
+    }
+
+    /// Sends `node`'s write request for `line` (the store of `value` to
+    /// `word` that the grant will let proceed).
+    fn coh_write_req(&mut self, depart: Cycle, line: Line, node: NodeId, word: u8, value: u64) {
+        let mut msgs = std::mem::take(&mut self.coh_msgs);
+        self.line_mut(line).write_req(node, word, value, &mut msgs);
+        self.route_coh(depart, line, msgs);
+    }
+
+    /// Routes every message in `msgs`, then keeps the emptied buffer as
+    /// the coherence outbox.
+    fn route_coh(&mut self, depart: Cycle, line: Line, mut msgs: Vec<CohMsg>) {
+        for msg in msgs.drain(..) {
+            self.route(depart, Proto::Coh { line, msg });
+        }
+        self.coh_msgs = msgs;
     }
 
     // ------------------------------------------------------------------
@@ -1444,53 +1462,25 @@ impl Machine {
                 self.ric_msgs = msgs;
                 self.ric_effects = effects;
             }
-            Proto::Coh { block, msg } => {
-                let (msgs, effects) = self.coh[block].deliver(msg);
+            Proto::Coh { line, msg } => {
+                // The outbox pair is out of `self` while the effects run:
+                // an effect handler may itself send on the coherence path
+                // (a TTS retry on a fill, a replayed pending operation),
+                // and those nested sends take their wire ids first.
+                let mut msgs = std::mem::take(&mut self.coh_msgs);
+                let mut effects = std::mem::take(&mut self.coh_effects);
+                self.line_mut(line).deliver(msg, &mut msgs, &mut effects);
                 let out_data = msgs.iter().any(|m| m.words > 1);
                 let t_done =
                     self.processing_done(dst, home, touches_memory, in_words, out_data, now);
-                self.apply_coh_effects(block, effects, t_done);
+                self.apply_coh_effects(line, effects.drain(..), t_done);
+                self.coh_effects = effects;
                 if let Some(c) = &self.check {
-                    c.borrow_mut().structural(
-                        self.coh[block].swmr_invariant(),
-                        t_done,
-                        self.coh[block].check_single_writer(),
-                    );
-                }
-                for msg in msgs {
-                    self.route(t_done, Proto::Coh { block, msg });
-                }
-            }
-            Proto::WbiLock { lock, msg } => {
-                let (msgs, effects) = self.wbi_locks[lock].deliver(msg);
-                let out_data = msgs.iter().any(|m| m.words > 1);
-                let t_done =
-                    self.processing_done(dst, home, touches_memory, in_words, out_data, now);
-                self.apply_wbi_effects(WbiCtx::Lock(lock), effects, t_done);
-                if let Some(c) = &self.check {
-                    c.borrow_mut().structural(
-                        "wbi.swmr",
-                        t_done,
-                        self.wbi_locks[lock].check_single_writer(),
-                    );
-                }
-                for msg in msgs {
-                    self.route(t_done, Proto::WbiLock { lock, msg });
-                }
-            }
-            Proto::WbiFlag { msg } => {
-                let (msgs, effects) = self.flag.deliver(msg);
-                let out_data = msgs.iter().any(|m| m.words > 1);
-                let t_done =
-                    self.processing_done(dst, home, touches_memory, in_words, out_data, now);
-                self.apply_wbi_effects(WbiCtx::Flag, effects, t_done);
-                if let Some(c) = &self.check {
+                    let b = self.line(line);
                     c.borrow_mut()
-                        .structural("wbi.swmr", t_done, self.flag.check_single_writer());
+                        .structural(b.swmr_invariant(), t_done, b.check_single_writer());
                 }
-                for msg in msgs {
-                    self.route(t_done, Proto::WbiFlag { msg });
-                }
+                self.route_coh(t_done, line, msgs);
             }
             Proto::Bar { msg } => {
                 let (msgs, effects) = self.hwbar.deliver(msg);
@@ -1940,21 +1930,54 @@ impl Machine {
         }
     }
 
-    fn apply_wbi_effects(&mut self, ctx: WbiCtx, effects: Vec<WbiEffect>, t: Cycle) {
+    /// Trace family of the configured shared-data scheme.
+    fn data_family(&self) -> Family {
+        match self.cfg.data {
+            DataScheme::Ric => Family::Ric,
+            DataScheme::Wbi => Family::Wbi,
+            DataScheme::Mesi => Family::Mesi,
+            DataScheme::Dragon => Family::Dragon,
+        }
+    }
+
+    /// Applies the effects a coherence backend emitted while processing a
+    /// delivery on `line`. Read-value logging, the value oracle, the
+    /// heatmap and the per-protocol counters follow data lines; TTS and
+    /// barrier wakeups follow the node's sync state for the lock or flag
+    /// line.
+    fn apply_coh_effects(
+        &mut self,
+        line: Line,
+        effects: impl Iterator<Item = CohEffect>,
+        t: Cycle,
+    ) {
         for e in effects {
             match e {
-                WbiEffect::FilledShared { node, .. } => {
-                    match self.nodes[node].sync {
-                        Some(SyncCtx::TtsLock {
-                            lock,
-                            phase: TtsPhase::Fetch,
-                        }) if ctx == WbiCtx::Lock(lock) => {
+                CohEffect::FilledShared { node, ref data } => {
+                    if let Line::Data(block) = line {
+                        if let Some(addr) = self.nodes[node].pending_record.take() {
+                            if addr.block == block {
+                                let v = data.get(addr.word);
+                                self.record_read(node, addr, v);
+                            } else {
+                                self.nodes[node].pending_record = Some(addr);
+                            }
+                        }
+                    }
+                    match (self.nodes[node].sync, line) {
+                        (
+                            Some(SyncCtx::TtsLock {
+                                lock,
+                                phase: TtsPhase::Fetch,
+                            }),
+                            Line::Lock(l),
+                        ) if l == lock => {
                             self.unstall_node(node, t);
                             self.with_tracking(node, t, |m| {
                                 m.with_span(node, t, "lock", |m| m.tts_try(node, lock, t))
                             });
                         }
-                        Some(SyncCtx::SwSpinFlag) if ctx == WbiCtx::Flag => {
+                        (Some(SyncCtx::SwSpinFlag), Line::Flag) => {
                             self.unstall_node(node, t);
                             self.nodes[node].sync = None;
                             self.with_tracking(node, t, |m| {
@@ -1975,50 +1998,114 @@ impl Machine {
                         }
                     }
                 }
-                WbiEffect::FilledExcl { node, .. } | WbiEffect::UpgradeGranted { node } => {
-                    self.wbi_ownership_arrived(ctx, node, t);
+                CohEffect::FilledExcl { node, .. } | CohEffect::UpgradeGranted { node } => {
+                    self.coh_ownership_arrived(line, node, t);
                 }
-                WbiEffect::Invalidated { node } => {
-                    self.counters.bump_id(CounterId::WbiInvalidated);
-                    let spin_matches = match (self.nodes[node].waiting, ctx) {
-                        (Waiting::SpinInv(SpinTarget::LockVar(l)), WbiCtx::Lock(m)) => l == m,
-                        (Waiting::SpinInv(SpinTarget::Flag), WbiCtx::Flag) => true,
-                        _ => false,
-                    };
-                    if spin_matches {
-                        let tag = if matches!(ctx, WbiCtx::Flag) {
-                            "timer.flag"
-                        } else {
-                            "timer.lock"
+                CohEffect::Invalidated { node } => match line {
+                    Line::Data(block) => {
+                        let ctr = match self.cfg.data {
+                            DataScheme::Mesi => CounterId::MesiInvalidated,
+                            _ => CounterId::WbiInvalidated,
                         };
-                        self.unstall_node(node, t);
-                        self.stall_node_tagged(node, Waiting::Timer, t, tag);
-                        self.events.schedule(t + 1, Ev::Retry(node));
+                        self.counters.bump_id(ctr);
+                        self.trace_access(
+                            t,
+                            node as i64,
+                            self.data_family(),
+                            "invalidate",
+                            block,
+                            0,
+                        );
                     }
+                    Line::Lock(_) | Line::Flag => {
+                        self.counters.bump_id(CounterId::WbiInvalidated);
+                        let (target, tag) = match line {
+                            Line::Lock(lock) => (SpinTarget::LockVar(lock), "timer.lock"),
+                            _ => (SpinTarget::Flag, "timer.flag"),
+                        };
+                        if self.nodes[node].waiting == Waiting::SpinInv(target) {
+                            self.unstall_node(node, t);
+                            self.stall_node_tagged(node, Waiting::Timer, t, tag);
+                            self.events.schedule(t + 1, Ev::Retry(node));
+                        }
+                    }
+                },
+                CohEffect::Downgraded { .. } => {
+                    let ctr = match (line, self.cfg.data) {
+                        (Line::Data(_), DataScheme::Mesi) => CounterId::MesiDowngraded,
+                        (Line::Data(_), DataScheme::Dragon) => CounterId::DragonDowngraded,
+                        _ => CounterId::WbiDowngraded,
+                    };
+                    self.counters.bump_id(ctr);
                 }
-                WbiEffect::Downgraded { .. } => {
-                    self.counters.bump_id(CounterId::WbiDowngraded);
+                CohEffect::UpdateApplied { node, word } => {
+                    // A Dragon multicast landed a fresh word in `node`'s
+                    // copy in place — the update-protocol counterpart of an
+                    // invalidation, and the heatmap signal that separates
+                    // update from invalidate false-sharing behavior.
+                    let Line::Data(block) = line else {
+                        unreachable!("only Dragon data lines push updates")
+                    };
+                    self.counters.bump_id(CounterId::DragonUpdateApplied);
+                    self.trace_access(
+                        t,
+                        node as i64,
+                        self.data_family(),
+                        "update.apply",
+                        block,
+                        word,
+                    );
+                }
+                CohEffect::StoreSerialized { node, word, value } => {
+                    // The home serialized the store into main memory: this
+                    // is the point the value becomes visible to fills, so
+                    // the provenance oracle learns it here — before any
+                    // pushed copy can be read.
+                    let Line::Data(block) = line else {
+                        unreachable!("only Dragon data lines serialize stores")
+                    };
+                    self.record_write(node, block, word, value);
+                }
+                CohEffect::StoreComplete { node } => {
+                    if matches!(
+                        self.nodes[node].sync,
+                        Some(SyncCtx::PendingStore { block, .. }) if line == Line::Data(block)
+                    ) {
+                        self.nodes[node].sync = None;
+                        self.resume_from(node, Waiting::Fill, t);
+                    } else if self.nodes[node].waiting == Waiting::Fill {
+                        self.resume_from(node, Waiting::Fill, t);
+                    }
                 }
             }
         }
     }
 
-    /// Exclusive ownership (or an upgrade) arrived for `node` on the lock
-    /// or flag block identified by `ctx`: perform the deferred store /
-    /// test-and-set.
-    fn wbi_ownership_arrived(&mut self, ctx: WbiCtx, node: NodeId, t: Cycle) {
-        match self.nodes[node].sync {
-            Some(SyncCtx::PendingStore { block, word, value }) if ctx == WbiCtx::Lock(block) => {
-                // LockedWrite under TTS: the lock block doubles as data.
-                let ok = self.wbi_locks[block].local_write(node, word, value);
-                debug_assert!(ok, "locked store failed after ownership");
+    /// Exclusive ownership (or an upgrade) arrived for `node` on `line`:
+    /// perform the deferred store or test-and-set.
+    fn coh_ownership_arrived(&mut self, line: Line, node: NodeId, t: Cycle) {
+        match (self.nodes[node].sync, line) {
+            // A shared-data store, or a locked store under TTS (the lock
+            // block doubles as data). The pending store records only an
+            // index, so it matches a data or lock line by that index.
+            (Some(SyncCtx::PendingStore { block, word, value }), Line::Data(b) | Line::Lock(b))
+                if b == block =>
+            {
+                let ok = self.line_mut(line).local_write(node, word, value);
+                debug_assert!(ok, "store failed after ownership");
+                if let Line::Data(block) = line {
+                    self.record_write(node, block, word, value);
+                }
                 self.nodes[node].sync = None;
                 self.resume_from(node, Waiting::Fill, t);
             }
-            Some(SyncCtx::TtsLock {
-                lock,
-                phase: TtsPhase::Acquire,
-            }) if ctx == WbiCtx::Lock(lock) => {
+            (
+                Some(SyncCtx::TtsLock {
+                    lock,
+                    phase: TtsPhase::Acquire,
+                }),
+                Line::Lock(l),
+            ) if l == lock => {
                 let old = self.wbi_locks[lock]
                     .fetch_and_store(node, 0, 1)
                     .expect("test-and-set without ownership");
@@ -2051,13 +2138,13 @@ impl Machine {
                     }
                 }
             }
-            Some(SyncCtx::TtsUnlock { lock }) if ctx == WbiCtx::Lock(lock) => {
+            (Some(SyncCtx::TtsUnlock { lock }), Line::Lock(l)) if l == lock => {
                 let ok = self.wbi_locks[lock].local_write(node, 0, 0);
                 debug_assert!(ok, "unlock store failed after ownership");
                 self.nodes[node].sync = None;
                 self.resume_from(node, Waiting::Fill, t);
             }
-            Some(SyncCtx::SwWriteFlag) if ctx == WbiCtx::Flag => {
+            (Some(SyncCtx::SwWriteFlag), Line::Flag) => {
                 let v = self.swbar.flag_value();
                 let ok = self.flag.local_write(node, 0, v);
                 debug_assert!(ok, "flag store failed after ownership");
@@ -2065,125 +2152,9 @@ impl Machine {
                 self.resume_from(node, Waiting::Fill, t);
             }
             _ => {
-                // A plain exclusive fill with no pending action (possible
-                // when a queued transaction completed after its purpose was
-                // already served); just resume if stalled on it.
-                if self.nodes[node].waiting == Waiting::Fill {
-                    self.resume_from(node, Waiting::Fill, t);
-                }
-            }
-        }
-    }
-
-    /// Trace family of the configured shared-data scheme.
-    fn data_family(&self) -> Family {
-        match self.cfg.data {
-            DataScheme::Ric => Family::Ric,
-            DataScheme::Wbi => Family::Wbi,
-            DataScheme::Mesi => Family::Mesi,
-            DataScheme::Dragon => Family::Dragon,
-        }
-    }
-
-    /// Applies the effects a shared-data coherence backend emitted while
-    /// processing a delivery on `block`.
-    fn apply_coh_effects(&mut self, block: BlockId, effects: Vec<CohEffect>, t: Cycle) {
-        for e in effects {
-            match e {
-                CohEffect::FilledShared { node, ref data } => {
-                    if let Some(addr) = self.nodes[node].pending_record.take() {
-                        if addr.block == block {
-                            let v = data.get(addr.word);
-                            self.record_read(node, addr, v);
-                        } else {
-                            self.nodes[node].pending_record = Some(addr);
-                        }
-                    }
-                    if self.nodes[node].spin_global.is_some()
-                        && self.nodes[node].waiting == Waiting::Fill
-                    {
-                        // re-check the freshly filled value
-                        self.unstall_node(node, t);
-                        self.stall_node_tagged(node, Waiting::Timer, t, "timer.flag");
-                        self.events.schedule(t + 1, Ev::Retry(node));
-                    } else if self.nodes[node].waiting == Waiting::Fill {
-                        self.resume_from(node, Waiting::Fill, t);
-                    }
-                }
-                CohEffect::FilledExcl { node, .. } | CohEffect::UpgradeGranted { node } => {
-                    self.coh_ownership_arrived(block, node, t);
-                }
-                CohEffect::Invalidated { node } => {
-                    let ctr = match self.cfg.data {
-                        DataScheme::Mesi => CounterId::MesiInvalidated,
-                        _ => CounterId::WbiInvalidated,
-                    };
-                    self.counters.bump_id(ctr);
-                    self.trace_access(t, node as i64, self.data_family(), "invalidate", block, 0);
-                }
-                CohEffect::Downgraded { .. } => {
-                    let ctr = match self.cfg.data {
-                        DataScheme::Mesi => CounterId::MesiDowngraded,
-                        DataScheme::Dragon => CounterId::DragonDowngraded,
-                        _ => CounterId::WbiDowngraded,
-                    };
-                    self.counters.bump_id(ctr);
-                }
-                CohEffect::UpdateApplied { node, word } => {
-                    // A Dragon multicast landed a fresh word in `node`'s
-                    // copy in place — the update-protocol counterpart of an
-                    // invalidation, and the heatmap signal that separates
-                    // update from invalidate false-sharing behavior.
-                    self.counters.bump_id(CounterId::DragonUpdateApplied);
-                    self.trace_access(
-                        t,
-                        node as i64,
-                        self.data_family(),
-                        "update.apply",
-                        block,
-                        word,
-                    );
-                }
-                CohEffect::StoreSerialized { node, word, value } => {
-                    // The home serialized the store into main memory: this
-                    // is the point the value becomes visible to fills, so
-                    // the provenance oracle learns it here — before any
-                    // pushed copy can be read.
-                    self.record_write(node, block, word, value);
-                }
-                CohEffect::StoreComplete { node } => {
-                    if matches!(
-                        self.nodes[node].sync,
-                        Some(SyncCtx::PendingStore { block: b, .. }) if b == block
-                    ) {
-                        self.nodes[node].sync = None;
-                        self.resume_from(node, Waiting::Fill, t);
-                    } else if self.nodes[node].waiting == Waiting::Fill {
-                        self.resume_from(node, Waiting::Fill, t);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Exclusive ownership (or an upgrade) arrived for `node` on shared
-    /// data `block`: perform the deferred store.
-    fn coh_ownership_arrived(&mut self, block: BlockId, node: NodeId, t: Cycle) {
-        match self.nodes[node].sync {
-            Some(SyncCtx::PendingStore {
-                block: b,
-                word,
-                value,
-            }) if b == block => {
-                let ok = self.coh[block].local_write(node, word, value);
-                debug_assert!(ok, "store failed after ownership");
-                self.record_write(node, block, word, value);
-                self.nodes[node].sync = None;
-                self.resume_from(node, Waiting::Fill, t);
-            }
-            _ => {
-                // A stale grant whose purpose was already served; just
-                // resume if stalled on it.
+                // A stale grant whose purpose was already served (a
+                // queued transaction completing late); just resume if
+                // stalled on it.
                 if self.nodes[node].waiting == Waiting::Fill {
                     self.resume_from(node, Waiting::Fill, t);
                 }
@@ -2457,8 +2428,7 @@ impl Machine {
                             if self.wants_reads() {
                                 self.nodes[node].pending_record = Some(addr);
                             }
-                            let msgs = self.coh[addr.block].read_req(node);
-                            self.route_all_coh(now, addr.block, msgs);
+                            self.coh_read_req(now, Line::Data(addr.block), node);
                             self.stall_node(node, Waiting::Fill, now);
                         }
                     }
@@ -2524,8 +2494,7 @@ impl Machine {
                                 if self.wants_reads() {
                                     self.nodes[node].pending_record = Some(addr);
                                 }
-                                let msgs = self.coh[addr.block].read_req(node);
-                                self.route_all_coh(now, addr.block, msgs);
+                                self.coh_read_req(now, Line::Data(addr.block), node);
                                 self.stall_node(node, Waiting::Fill, now);
                             }
                         }
@@ -2617,8 +2586,8 @@ impl Machine {
                             self.events.schedule(now + 1, Ev::Resume(node));
                         } else {
                             self.counters.bump_id(CounterId::SharedWriteMiss);
-                            let msgs = self.coh[addr.block].write_req(node, addr.word, stamp);
-                            self.route_all_coh(now, addr.block, msgs);
+                            let line = Line::Data(addr.block);
+                            self.coh_write_req(now, line, node, addr.word, stamp);
                             self.nodes[node].sync = Some(SyncCtx::PendingStore {
                                 block: addr.block,
                                 word: addr.word,
@@ -2740,8 +2709,7 @@ impl Machine {
                         if self.wbi_locks[lock].local_read(node, word).is_some() {
                             self.events.schedule(now + 1, Ev::Resume(node));
                         } else {
-                            let msgs = self.wbi_locks[lock].read_req(node);
-                            self.route_all_wbi(now, WbiCtx::Lock(lock), msgs);
+                            self.coh_read_req(now, Line::Lock(lock), node);
                             self.stall_node(node, Waiting::Fill, now);
                         }
                     }
@@ -2761,8 +2729,7 @@ impl Machine {
                     if self.wbi_locks[lock].local_write(node, word, stamp) {
                         self.events.schedule(now + 1, Ev::Resume(node));
                     } else {
-                        let msgs = self.wbi_locks[lock].write_req(node);
-                        self.route_all_wbi(now, WbiCtx::Lock(lock), msgs);
+                        self.coh_write_req(now, Line::Lock(lock), node, word, stamp);
                         self.nodes[node].sync = Some(SyncCtx::PendingStore {
                             block: lock,
                             word,
@@ -2842,9 +2809,10 @@ impl Machine {
         }
     }
 
-    /// The software barrier uses the last lock id as its own lock.
+    /// The software barrier uses the last lock id as its own lock. Only
+    /// the configured lock backend is built, so the other one is empty.
     fn barrier_lock(&self) -> LockId {
-        self.wbi_locks.len() - 1
+        self.cbl.len().max(self.wbi_locks.len()) - 1
     }
 
     // ------------------------------------------------------------------
@@ -2864,8 +2832,7 @@ impl Machine {
                     self.counters.bump_id(CounterId::LockTtsTestAndSet);
                     self.tts_acquired(node, lock, now);
                 } else {
-                    let msgs = self.wbi_locks[lock].write_req(node);
-                    self.route_all_wbi(now, WbiCtx::Lock(lock), msgs);
+                    self.coh_write_req(now, Line::Lock(lock), node, 0, 1);
                     self.nodes[node].sync = Some(SyncCtx::TtsLock {
                         lock,
                         phase: TtsPhase::Acquire,
@@ -2889,8 +2856,7 @@ impl Machine {
             }
             None => {
                 // No cached copy: fetch it.
-                let msgs = self.wbi_locks[lock].read_req(node);
-                self.route_all_wbi(now, WbiCtx::Lock(lock), msgs);
+                self.coh_read_req(now, Line::Lock(lock), node);
                 self.nodes[node].sync = Some(SyncCtx::TtsLock {
                     lock,
                     phase: TtsPhase::Fetch,
@@ -2947,8 +2913,7 @@ impl Machine {
             // Regain ownership; the invalidations wake the spinners — the
             // release burst of the paper.
             self.counters.bump_id(CounterId::LockTtsReleaseRemote);
-            let msgs = self.wbi_locks[lock].write_req(node);
-            self.route_all_wbi(now, WbiCtx::Lock(lock), msgs);
+            self.coh_write_req(now, Line::Lock(lock), node, 0, 0);
             self.nodes[node].sync = Some(SyncCtx::TtsUnlock { lock });
             self.stall_node(node, Waiting::Fill, now);
         }
@@ -2964,9 +2929,12 @@ impl Machine {
         let last = self.swbar.arrive(node);
         self.counters.bump_id(CounterId::BarrierSwArrive);
         let bl = self.barrier_lock();
-        // store the new count into the lock block (local: we own it)
+        // store the new count into the lock block (local: we own it; CBL
+        // locks have no coherent lock block to hold it)
         let count_stamp = self.next_stamp(node);
-        let _ = self.wbi_locks[bl].local_write(node, 1, count_stamp);
+        if let Some(b) = self.wbi_locks.get_mut(bl) {
+            let _ = b.local_write(node, 1, count_stamp);
+        }
         self.nodes[node]
             .injected
             .push_back(MicroOp::Op(Op::Unlock(bl)));
@@ -2984,8 +2952,7 @@ impl Machine {
         if self.flag.local_write(node, 0, v) {
             self.events.schedule(now + 1, Ev::Resume(node));
         } else {
-            let msgs = self.flag.write_req(node);
-            self.route_all_wbi(now, WbiCtx::Flag, msgs);
+            self.coh_write_req(now, Line::Flag, node, 0, v);
             self.nodes[node].sync = Some(SyncCtx::SwWriteFlag);
             self.stall_node(node, Waiting::Fill, now);
         }
@@ -3005,8 +2972,7 @@ impl Machine {
                 self.nodes[node].sync = Some(SyncCtx::SwSpinFlag);
             }
             None => {
-                let msgs = self.flag.read_req(node);
-                self.route_all_wbi(now, WbiCtx::Flag, msgs);
+                self.coh_read_req(now, Line::Flag, node);
                 self.nodes[node].sync = Some(SyncCtx::SwSpinFlag);
                 self.stall_node(node, Waiting::Fill, now);
             }
@@ -3427,6 +3393,25 @@ mod tests {
         assert!(r.completion >= 500);
         assert_eq!(r.counters.get("barrier.sw.arrive"), 4);
         assert_eq!(r.counters.get("barrier.sw.notify"), 1);
+    }
+
+    #[test]
+    fn sw_barrier_over_cbl_locks() {
+        // The software barrier may take its lock from CBL: the machine
+        // then builds no TTS lock blocks, and the barrier count has no
+        // coherent lock block to live in.
+        let mut cfg = MachineConfig::cbl(4);
+        cfg.barrier = BarrierScheme::Sw;
+        let mut streams = vec![vec![Op::Compute(500), Op::Barrier]];
+        for _ in 1..4 {
+            streams.push(vec![Op::Barrier]);
+        }
+        let r = run(cfg, streams, 2);
+        assert!(r.completion >= 500);
+        assert_eq!(r.counters.get("barrier.sw.arrive"), 4);
+        assert_eq!(r.counters.get("barrier.sw.notify"), 1);
+        assert_eq!(r.counters.get("lock.cbl.granted"), 4);
+        assert_eq!(r.lock_blocks, vec![vec![0; 4]; 2]);
     }
 
     #[test]

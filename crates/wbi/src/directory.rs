@@ -355,25 +355,39 @@ impl WbiBlock {
 
     /// Processor read miss.
     pub fn read_req(&mut self, node: NodeId) -> Vec<WbiMsg> {
+        let mut msgs = Vec::new();
+        self.read_req_into(node, &mut msgs);
+        msgs
+    }
+
+    /// [`WbiBlock::read_req`], appending the request to `msgs`.
+    pub fn read_req_into(&mut self, node: NodeId, msgs: &mut impl Extend<WbiMsg>) {
         debug_assert!(!self.valid.contains(node), "read request with a valid line");
-        vec![Self::ctl(
+        msgs.extend([Self::ctl(
             Endpoint::Node(node),
             Endpoint::Dir,
             WbiKind::ReadReq,
-        )]
+        )]);
     }
 
     /// Processor write miss or upgrade.
     pub fn write_req(&mut self, node: NodeId) -> Vec<WbiMsg> {
+        let mut msgs = Vec::new();
+        self.write_req_into(node, &mut msgs);
+        msgs
+    }
+
+    /// [`WbiBlock::write_req`], appending the request to `msgs`.
+    pub fn write_req_into(&mut self, node: NodeId, msgs: &mut impl Extend<WbiMsg>) {
         debug_assert!(
             self.line_state(node) != Some(LineState::Modified),
             "write request while already owner"
         );
-        vec![Self::ctl(
+        msgs.extend([Self::ctl(
             Endpoint::Node(node),
             Endpoint::Dir,
             WbiKind::WriteReq,
-        )]
+        )]);
     }
 
     /// The node replaces its line. Dirty lines emit a write-back (memory is
@@ -392,23 +406,37 @@ impl WbiBlock {
         }
     }
 
-    /// Delivers a protocol message.
+    /// Delivers a protocol message; returns the follow-on messages and
+    /// effects.
     pub fn deliver(&mut self, msg: WbiMsg) -> (Vec<WbiMsg>, Vec<WbiEffect>) {
+        let (mut msgs, mut effects) = (Vec::new(), Vec::new());
+        self.deliver_into(msg, &mut msgs, &mut effects);
+        (msgs, effects)
+    }
+
+    /// Delivers a protocol message, appending the follow-on messages to
+    /// `msgs` and the effects to `effects` (neither is cleared first).
+    pub fn deliver_into(
+        &mut self,
+        msg: WbiMsg,
+        msgs: &mut impl Extend<WbiMsg>,
+        effects: &mut impl Extend<WbiEffect>,
+    ) {
         match msg.dst {
-            Endpoint::Dir => self.deliver_at_dir(msg),
-            Endpoint::Node(n) => self.deliver_at_node(n, msg),
+            Endpoint::Dir => self.deliver_at_dir(msg, msgs),
+            Endpoint::Node(n) => self.deliver_at_node(n, msg, msgs, effects),
         }
     }
 
-    fn deliver_at_dir(&mut self, msg: WbiMsg) -> (Vec<WbiMsg>, Vec<WbiEffect>) {
+    fn deliver_at_dir(&mut self, msg: WbiMsg, out: &mut impl Extend<WbiMsg>) {
         let Endpoint::Node(src) = msg.src else {
             panic!("directory message from directory: {msg:?}")
         };
         match msg.kind {
-            WbiKind::ReadReq => self.begin_or_queue(src, Txn::Read),
+            WbiKind::ReadReq => self.begin_or_queue(src, Txn::Read, out),
             WbiKind::WriteReq => {
                 let had = self.line_state(src) == Some(LineState::Shared);
-                self.begin_or_queue(src, Txn::Write { had_copy: had })
+                self.begin_or_queue(src, Txn::Write { had_copy: had }, out)
             }
             WbiKind::InvAck => {
                 let p = self.busy.as_mut().expect("ack with no transaction");
@@ -416,8 +444,8 @@ impl WbiBlock {
                 p.acks_left -= 1;
                 if p.acks_left == 0 {
                     let p = self.busy.take().expect("checked");
-                    let mut msgs = match p.txn {
-                        Txn::Write { had_copy } => vec![self.grant_excl(p.requester, had_copy)],
+                    let reply = match p.txn {
+                        Txn::Write { had_copy } => self.grant_excl(p.requester, had_copy),
                         Txn::ReadEvict => {
                             // The victim's ack arrived: record the new
                             // sharer set and serve the read.
@@ -428,18 +456,16 @@ impl WbiBlock {
                                 }
                                 other => panic!("read-evict on {other:?}"),
                             }
-                            vec![self.blk(
+                            self.blk(
                                 Endpoint::Dir,
                                 Endpoint::Node(p.requester),
                                 WbiKind::DataShared,
-                            )]
+                            )
                         }
                         Txn::Read => unreachable!("plain reads collect no acks"),
                     };
-                    msgs.extend(self.pump_queue());
-                    (msgs, vec![])
-                } else {
-                    (vec![], vec![])
+                    out.extend([reply]);
+                    self.pump_queue(out);
                 }
             }
             WbiKind::OwnerData { downgrade } => {
@@ -450,57 +476,39 @@ impl WbiBlock {
                     self.write_back(src);
                 } // else: owner invalidated; data was stashed at fetch time
                 let p = self.busy.take().expect("owner data with no transaction");
-                let mut msgs = Vec::new();
-                match p.txn {
+                let reply = match p.txn {
                     Txn::Read => {
                         debug_assert!(downgrade);
                         self.dir = DirState::Shared([src, p.requester].into_iter().collect());
-                        msgs.push(self.blk(
-                            Endpoint::Dir,
-                            Endpoint::Node(p.requester),
-                            WbiKind::DataShared,
-                        ));
+                        WbiKind::DataShared
                     }
                     Txn::ReadEvict => unreachable!("evictions fetch nothing from owners"),
                     Txn::Write { .. } => {
                         debug_assert!(!downgrade);
                         self.dir = DirState::Modified(p.requester);
-                        msgs.push(self.blk(
-                            Endpoint::Dir,
-                            Endpoint::Node(p.requester),
-                            WbiKind::DataExcl { upgrade: false },
-                        ));
+                        WbiKind::DataExcl { upgrade: false }
                     }
-                }
-                msgs.extend(self.pump_queue());
-                (msgs, vec![])
+                };
+                out.extend([self.blk(Endpoint::Dir, Endpoint::Node(p.requester), reply)]);
+                self.pump_queue(out);
             }
             WbiKind::WbRace => {
                 // The fetch missed: the owner replaced the line and its
                 // write-back (already applied to memory) is in flight.
                 let p = self.busy.take().expect("race reply with no transaction");
-                let mut msgs = Vec::new();
-                match p.txn {
+                let reply = match p.txn {
                     Txn::ReadEvict => unreachable!("evictions never fetch"),
                     Txn::Read => {
                         self.dir = DirState::Shared(NodeSet::single(p.requester));
-                        msgs.push(self.blk(
-                            Endpoint::Dir,
-                            Endpoint::Node(p.requester),
-                            WbiKind::DataShared,
-                        ));
+                        WbiKind::DataShared
                     }
                     Txn::Write { .. } => {
                         self.dir = DirState::Modified(p.requester);
-                        msgs.push(self.blk(
-                            Endpoint::Dir,
-                            Endpoint::Node(p.requester),
-                            WbiKind::DataExcl { upgrade: false },
-                        ));
+                        WbiKind::DataExcl { upgrade: false }
                     }
-                }
-                msgs.extend(self.pump_queue());
-                (msgs, vec![])
+                };
+                out.extend([self.blk(Endpoint::Dir, Endpoint::Node(p.requester), reply)]);
+                self.pump_queue(out);
             }
             WbiKind::WriteBack => {
                 // Memory was already updated at replace(); retire the
@@ -508,21 +516,20 @@ impl WbiBlock {
                 if self.dir == DirState::Modified(src) {
                     self.dir = DirState::Uncached;
                 }
-                (vec![], vec![])
             }
             other => panic!("directory cannot handle {other:?}"),
         }
     }
 
-    fn begin_or_queue(&mut self, node: NodeId, txn: Txn) -> (Vec<WbiMsg>, Vec<WbiEffect>) {
+    fn begin_or_queue(&mut self, node: NodeId, txn: Txn, out: &mut impl Extend<WbiMsg>) {
         if self.busy.is_some() {
             self.queue.push_back((node, txn));
-            return (vec![], vec![]);
+        } else {
+            self.begin(node, txn, out);
         }
-        (self.begin(node, txn), vec![])
     }
 
-    fn begin(&mut self, node: NodeId, txn: Txn) -> Vec<WbiMsg> {
+    fn begin(&mut self, node: NodeId, txn: Txn, out: &mut impl Extend<WbiMsg>) {
         match txn {
             // A queued ReadEvict restarts as a plain read against the
             // current state (the eviction may no longer be necessary).
@@ -533,91 +540,102 @@ impl WbiBlock {
                         // conservatively records an owner (it cannot see
                         // the silent E -> M upgrade).
                         self.dir = DirState::Modified(node);
-                        vec![self.blk(Endpoint::Dir, Endpoint::Node(node), WbiKind::DataExclClean)]
+                        out.extend([self.blk(
+                            Endpoint::Dir,
+                            Endpoint::Node(node),
+                            WbiKind::DataExclClean,
+                        )]);
                     } else {
                         self.dir = DirState::Shared(NodeSet::single(node));
-                        vec![self.blk(Endpoint::Dir, Endpoint::Node(node), WbiKind::DataShared)]
+                        out.extend([self.blk(
+                            Endpoint::Dir,
+                            Endpoint::Node(node),
+                            WbiKind::DataShared,
+                        )]);
                     }
                 }
-                DirState::Shared(s) => {
-                    if let Some(limit) = self.sharer_limit {
-                        if !s.contains(node) && s.len() >= limit {
-                            // Limited directory: no pointer left — evict
-                            // the lowest-id sharer, then serve the read.
-                            let victim = s.first().expect("non-empty");
-                            self.dir_evictions += 1;
-                            self.busy = Some(Pending {
-                                txn: Txn::ReadEvict,
-                                requester: node,
-                                acks_left: 1,
-                            });
-                            return vec![Self::ctl(
-                                Endpoint::Dir,
-                                Endpoint::Node(victim),
-                                WbiKind::Inv,
-                            )];
-                        }
+                DirState::Shared(s) => match self.sharer_limit {
+                    Some(limit) if !s.contains(node) && s.len() >= limit => {
+                        // Limited directory: no pointer left — evict the
+                        // lowest-id sharer, then serve the read.
+                        let victim = s.first().expect("non-empty");
+                        self.dir_evictions += 1;
+                        self.busy = Some(Pending {
+                            txn: Txn::ReadEvict,
+                            requester: node,
+                            acks_left: 1,
+                        });
+                        out.extend([Self::ctl(
+                            Endpoint::Dir,
+                            Endpoint::Node(victim),
+                            WbiKind::Inv,
+                        )]);
                     }
-                    s.insert(node);
-                    vec![self.blk(Endpoint::Dir, Endpoint::Node(node), WbiKind::DataShared)]
-                }
+                    _ => {
+                        s.insert(node);
+                        out.extend([self.blk(
+                            Endpoint::Dir,
+                            Endpoint::Node(node),
+                            WbiKind::DataShared,
+                        )]);
+                    }
+                },
                 &mut DirState::Modified(owner) => {
                     self.busy = Some(Pending {
                         txn,
                         requester: node,
                         acks_left: 0,
                     });
-                    vec![Self::ctl(
+                    out.extend([Self::ctl(
                         Endpoint::Dir,
                         Endpoint::Node(owner),
                         WbiKind::FetchShared,
-                    )]
+                    )]);
                 }
             },
-            Txn::Write { had_copy } => match &self.dir {
-                DirState::Uncached => {
-                    self.dir = DirState::Modified(node);
-                    vec![self.blk(
-                        Endpoint::Dir,
-                        Endpoint::Node(node),
-                        WbiKind::DataExcl { upgrade: false },
-                    )]
-                }
-                DirState::Shared(s) => {
-                    let had_copy = had_copy && s.contains(node);
-                    let others = s.len() - usize::from(s.contains(node));
-                    if others == 0 {
-                        vec![self.grant_excl(node, had_copy)]
-                    } else {
-                        // Invalidate every other sharer, in ascending id
-                        // order; the set stays recorded until the last ack.
-                        let invs = s
-                            .iter()
-                            .filter(|&o| o != node)
-                            .map(|o| Self::ctl(Endpoint::Dir, Endpoint::Node(o), WbiKind::Inv))
-                            .collect();
+            Txn::Write { had_copy } => {
+                match &self.dir {
+                    DirState::Uncached => {
+                        self.dir = DirState::Modified(node);
+                        out.extend([self.blk(
+                            Endpoint::Dir,
+                            Endpoint::Node(node),
+                            WbiKind::DataExcl { upgrade: false },
+                        )]);
+                    }
+                    DirState::Shared(s) => {
+                        let had_copy = had_copy && s.contains(node);
+                        let others = s.len() - usize::from(s.contains(node));
+                        if others == 0 {
+                            out.extend([self.grant_excl(node, had_copy)]);
+                        } else {
+                            // Invalidate every other sharer, in ascending id
+                            // order; the set stays recorded until the last ack.
+                            out.extend(s.iter().filter(|&o| o != node).map(|o| {
+                                Self::ctl(Endpoint::Dir, Endpoint::Node(o), WbiKind::Inv)
+                            }));
+                            self.busy = Some(Pending {
+                                txn: Txn::Write { had_copy },
+                                requester: node,
+                                acks_left: others,
+                            });
+                        }
+                    }
+                    &DirState::Modified(owner) => {
+                        debug_assert_ne!(owner, node, "owner write-missed its own line");
                         self.busy = Some(Pending {
-                            txn: Txn::Write { had_copy },
+                            txn,
                             requester: node,
-                            acks_left: others,
+                            acks_left: 0,
                         });
-                        invs
+                        out.extend([Self::ctl(
+                            Endpoint::Dir,
+                            Endpoint::Node(owner),
+                            WbiKind::FetchExcl,
+                        )]);
                     }
                 }
-                &DirState::Modified(owner) => {
-                    debug_assert_ne!(owner, node, "owner write-missed its own line");
-                    self.busy = Some(Pending {
-                        txn,
-                        requester: node,
-                        acks_left: 0,
-                    });
-                    vec![Self::ctl(
-                        Endpoint::Dir,
-                        Endpoint::Node(owner),
-                        WbiKind::FetchExcl,
-                    )]
-                }
-            },
+            }
         }
     }
 
@@ -638,8 +656,7 @@ impl WbiBlock {
         }
     }
 
-    fn pump_queue(&mut self) -> Vec<WbiMsg> {
-        let mut out = Vec::new();
+    fn pump_queue(&mut self, out: &mut impl Extend<WbiMsg>) {
         while self.busy.is_none() {
             let Some((node, mut txn)) = self.queue.pop_front() else {
                 break;
@@ -651,84 +668,79 @@ impl WbiBlock {
             }
             // A queued read may already be satisfied (e.g. granted shared
             // while this request waited); serve it anyway from memory.
-            out.extend(self.begin(node, txn));
+            self.begin(node, txn, out);
         }
-        out
     }
 
-    fn deliver_at_node(&mut self, node: NodeId, msg: WbiMsg) -> (Vec<WbiMsg>, Vec<WbiEffect>) {
+    fn deliver_at_node(
+        &mut self,
+        node: NodeId,
+        msg: WbiMsg,
+        out: &mut impl Extend<WbiMsg>,
+        effects: &mut impl Extend<WbiEffect>,
+    ) {
         match msg.kind {
             WbiKind::DataShared => {
                 let data = self.fill(node, LineState::Shared);
-                (vec![], vec![WbiEffect::FilledShared { node, data }])
+                effects.extend([WbiEffect::FilledShared { node, data }]);
             }
             WbiKind::DataExclClean => {
                 let data = self.fill(node, LineState::Exclusive);
                 // a read completes exactly like a shared fill
-                (vec![], vec![WbiEffect::FilledShared { node, data }])
+                effects.extend([WbiEffect::FilledShared { node, data }]);
             }
             // The requester still holds its copy: only ownership travels.
             WbiKind::DataExcl { upgrade: true } if self.valid.contains(node) => {
                 self.set_state(node, LineState::Modified);
-                (vec![], vec![WbiEffect::UpgradeGranted { node }])
+                effects.extend([WbiEffect::UpgradeGranted { node }]);
             }
             // A full exclusive fill. An upgrade grant lands here too if a
             // delay-injected invalidation overtook it (unreachable on a
             // fault-free network): the grant is authoritative.
             WbiKind::DataExcl { .. } => {
                 let data = self.fill(node, LineState::Modified);
-                (vec![], vec![WbiEffect::FilledExcl { node, data }])
+                effects.extend([WbiEffect::FilledExcl { node, data }]);
             }
             WbiKind::Inv => {
-                let had = self.drop_line(node).is_some();
-                let effects = if had {
-                    vec![WbiEffect::Invalidated { node }]
-                } else {
-                    vec![] // spurious Inv after silent replacement
-                };
-                (
-                    vec![Self::ctl(
-                        Endpoint::Node(node),
-                        Endpoint::Dir,
-                        WbiKind::InvAck,
-                    )],
-                    effects,
-                )
+                // no effect for a spurious Inv after silent replacement
+                if self.drop_line(node).is_some() {
+                    effects.extend([WbiEffect::Invalidated { node }]);
+                }
+                out.extend([Self::ctl(
+                    Endpoint::Node(node),
+                    Endpoint::Dir,
+                    WbiKind::InvAck,
+                )]);
             }
             WbiKind::FetchShared if self.valid.contains(node) => {
                 self.set_state(node, LineState::Shared);
                 self.write_back(node);
-                (
-                    vec![self.blk(
-                        Endpoint::Node(node),
-                        Endpoint::Dir,
-                        WbiKind::OwnerData { downgrade: true },
-                    )],
-                    vec![WbiEffect::Downgraded { node }],
-                )
+                out.extend([self.blk(
+                    Endpoint::Node(node),
+                    Endpoint::Dir,
+                    WbiKind::OwnerData { downgrade: true },
+                )]);
+                effects.extend([WbiEffect::Downgraded { node }]);
             }
             WbiKind::FetchExcl if self.valid.contains(node) => {
                 self.write_back(node);
                 self.drop_line(node);
-                (
-                    vec![self.blk(
-                        Endpoint::Node(node),
-                        Endpoint::Dir,
-                        WbiKind::OwnerData { downgrade: false },
-                    )],
-                    vec![WbiEffect::Invalidated { node }],
-                )
+                out.extend([self.blk(
+                    Endpoint::Node(node),
+                    Endpoint::Dir,
+                    WbiKind::OwnerData { downgrade: false },
+                )]);
+                effects.extend([WbiEffect::Invalidated { node }]);
             }
             // The fetch found no line: it was replaced and its write-back
             // is in flight.
-            WbiKind::FetchShared | WbiKind::FetchExcl => (
-                vec![Self::ctl(
+            WbiKind::FetchShared | WbiKind::FetchExcl => {
+                out.extend([Self::ctl(
                     Endpoint::Node(node),
                     Endpoint::Dir,
                     WbiKind::WbRace,
-                )],
-                vec![],
-            ),
+                )]);
+            }
             other => panic!("node cannot handle {other:?}"),
         }
     }

@@ -21,16 +21,31 @@
 //! case arms the profiler, span stitcher and sanitizer (the report embeds
 //! the first two); one runs a duplicate-and-delay fault plan with
 //! retransmission on.
+//!
+//! Synchronization-line cases: every run on a TTS-lock machine also moves
+//! the lock blocks, and every software-barrier run the barrier flag,
+//! through the write-invalidate protocol. Work-queue on the MESI preset at
+//! 64 nodes and on the Dragon preset at 16 (profile, spans and sanitizer
+//! armed) put those lines beside trait-based data coherence; SOR on the
+//! WBI preset spins on the software-barrier flag; the sync model on the
+//! `Q-backoff` preset exercises exponential backoff; and SOR on WBI under
+//! a duplicate-and-delay fault plan with retransmission retransmits lock
+//! and flag wires (its fault log, which names each faulted message's
+//! kind, is pinned too).
 
 use ssmp::engine::Json;
 use ssmp::machine::RetryPolicy;
 use ssmp::machine::{Machine, MachineConfig, Report, Workload};
 use ssmp::net::FaultConfig;
-use ssmp::workload::{Grain, Hotspot, HotspotParams, WorkQueue, WorkQueueParams};
+use ssmp::workload::{
+    Grain, Hotspot, HotspotParams, Sor, SorParams, SyncModel, SyncParams, WorkQueue,
+    WorkQueueParams,
+};
 
 /// `(name, workload, nodes, size, variant)`, where `size` is the
-/// work-queue's task count or the hotspot's references per node; the
-/// golden file is `tests/golden/report_<name>.json`.
+/// work-queue's task count, the hotspot's references per node, SOR's
+/// sweep count or the sync model's tasks per node; the golden file is
+/// `tests/golden/report_<name>.json`.
 const CASES: &[(&str, Model, usize, usize, Variant)] = &[
     ("wq-wbi-128", Model::WorkQueue, 128, 24, Variant::FullMap),
     ("wq-wbi-256", Model::WorkQueue, 256, 8, Variant::FullMap),
@@ -61,6 +76,17 @@ const CASES: &[(&str, Model, usize, usize, Variant)] = &[
         64,
         Variant::BcCblFaults,
     ),
+    ("wq-mesi-64", Model::WorkQueue, 64, 32, Variant::MesiPreset),
+    (
+        "wq-dragon-armed-16",
+        Model::WorkQueue,
+        16,
+        64,
+        Variant::DragonArmed,
+    ),
+    ("sor-wbi-16", Model::Sor, 16, 4, Variant::FullMap),
+    ("sync-backoff-16", Model::Sync, 16, 8, Variant::Backoff),
+    ("sor-wbi-faults-16", Model::Sor, 16, 4, Variant::WbiFaults),
 ];
 
 /// Which workload a case runs.
@@ -70,6 +96,10 @@ enum Model {
     WorkQueue,
     /// Hotspot: half of all references hit block 0.
     Hotspot,
+    /// Red/black SOR, padded layout, software-barrier phases.
+    Sor,
+    /// The lock-centric sync model at medium grain.
+    Sync,
 }
 
 /// Which machine a case runs.
@@ -90,19 +120,32 @@ enum Variant {
     BcCblArmed,
     /// `BcCbl` with `--dup-prob 0.05 --delay-prob 0.05 --retry`.
     BcCblFaults,
+    /// The `mesi` protocol preset (`MachineConfig::mesi`).
+    MesiPreset,
+    /// The `dragon` protocol preset with `--profile --spans --check`.
+    DragonArmed,
+    /// TTS locks with exponential backoff (`MachineConfig::wbi_backoff`).
+    Backoff,
+    /// `FullMap` with `--dup-prob 0.05 --delay-prob 0.05 --retry`.
+    WbiFaults,
 }
 
 fn run(model: Model, nodes: usize, size: usize, variant: Variant) -> Report {
-    let armed = matches!(variant, Variant::BcCblArmed);
+    let armed = matches!(variant, Variant::BcCblArmed | Variant::DragonArmed);
     let mut cfg = match variant {
-        Variant::FullMap | Variant::SharerLimit(_) | Variant::Mesi => MachineConfig::wbi(nodes),
+        Variant::FullMap | Variant::SharerLimit(_) | Variant::Mesi | Variant::WbiFaults => {
+            MachineConfig::wbi(nodes)
+        }
         Variant::BcCbl | Variant::BcCblArmed | Variant::BcCblFaults => MachineConfig::bc_cbl(nodes),
         Variant::Ric => MachineConfig::ric(nodes),
+        Variant::MesiPreset => MachineConfig::mesi(nodes),
+        Variant::DragonArmed => MachineConfig::dragon(nodes),
+        Variant::Backoff => MachineConfig::wbi_backoff(nodes),
     };
     match variant {
         Variant::SharerLimit(limit) => cfg.wbi_sharer_limit = Some(limit),
         Variant::Mesi => cfg.wbi_mesi = true,
-        Variant::BcCblFaults => {
+        Variant::BcCblFaults | Variant::WbiFaults => {
             cfg.fault = Some(FaultConfig::uniform(0xFA, 0.0, 0.05, 0.05));
             cfg.retry = RetryPolicy::enabled();
         }
@@ -116,6 +159,16 @@ fn run(model: Model, nodes: usize, size: usize, variant: Variant) -> Report {
         }
         Model::Hotspot => {
             let wl = Hotspot::new(HotspotParams::new(nodes, 0.5, size));
+            let locks = wl.machine_locks();
+            (Box::new(wl), locks)
+        }
+        Model::Sor => {
+            let wl = Sor::new(SorParams::new(nodes, size));
+            let locks = wl.machine_locks();
+            (Box::new(wl), locks)
+        }
+        Model::Sync => {
+            let wl = SyncModel::new(SyncParams::paper(nodes, Grain::Medium.refs(), size));
             let locks = wl.machine_locks();
             (Box::new(wl), locks)
         }
@@ -222,4 +275,48 @@ fn ric_armed_observers_match_golden() {
 #[test]
 fn ric_dup_delay_with_retry_matches_golden() {
     check("wq-bccbl-faults-16");
+}
+
+#[test]
+fn mesi_work_queue_64_nodes_matches_golden() {
+    check("wq-mesi-64");
+}
+
+#[test]
+fn dragon_armed_observers_match_golden() {
+    check("wq-dragon-armed-16");
+}
+
+#[test]
+fn sor_software_barrier_flag_matches_golden() {
+    check("sor-wbi-16");
+    let r = run(Model::Sor, 16, 4, Variant::FullMap);
+    assert!(
+        r.counters.get("barrier.sw.notify") > 0,
+        "SOR on WBI must release its phases through the software-barrier flag"
+    );
+}
+
+#[test]
+fn sync_backoff_matches_golden() {
+    check("sync-backoff-16");
+}
+
+#[test]
+fn sor_dup_delay_with_retry_matches_golden() {
+    check("sor-wbi-faults-16");
+    // The report does not show which fault stream a message drew from;
+    // the replayable fault log does: each entry is a message kind (data,
+    // lock or flag line), its sequence number within that kind, and the
+    // fault applied.
+    let r = run(Model::Sor, 16, 4, Variant::WbiFaults);
+    let got: String = r
+        .fault_log
+        .iter()
+        .map(|f| format!("{:?} {} {:?}\n", f.kind, f.nth, f.op))
+        .collect();
+    let name = "tests/golden/faultlog_sor-wbi-faults-16.txt";
+    let path = format!("{}/{name}", env!("CARGO_MANIFEST_DIR"));
+    let want = std::fs::read_to_string(path).expect("golden file is committed");
+    assert!(got == want, "fault log differs from {name}");
 }
