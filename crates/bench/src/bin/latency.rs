@@ -151,12 +151,16 @@ fn main() {
                     let spans = r.spans.take().expect("span-armed run carries spans");
                     // The stitcher's hard contracts, enforced on every
                     // point: exact-sum segments and a clean stitch.
-                    for sp in spans.closed.values() {
-                        let sum: u64 = sp.segments.values().sum();
+                    for sp in spans.closed() {
+                        let sum: u64 = sp.segments.iter().sum();
                         assert_eq!(
-                            sum, sp.dur,
+                            sum,
+                            sp.dur,
                             "txn {} ({}): segments sum {} != e2e {}",
-                            sp.txn, sp.detail, sum, sp.dur
+                            sp.txn,
+                            spans.detail(sp),
+                            sum,
+                            sp.dur
                         );
                     }
                     let h = spans.health();

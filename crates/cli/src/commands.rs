@@ -1233,46 +1233,59 @@ fn diff(pos: &[String], f: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Folds a `--trace` JSONL file into the same `ssmp-profile-v1` profile
-/// a live `--profile` run produces — byte-identical JSON, so the two
-/// paths can be diffed against each other (and are, in CI).
-fn analyze(f: &Flags) -> Result<(), String> {
-    let path = f.require("in")?;
-    let text = read_input(path).map_err(|e| format!("--in {e}"))?;
-    let profile =
-        ssmp_profile::Profile::from_jsonl(text.as_bytes()).map_err(|e| format!("{path}: {e}"))?;
-    if f.has("json") {
-        println!("{}", profile.to_json().render());
+/// Opens an input operand for streaming; `-` reads stdin.
+fn open_input(path: &str) -> Result<Box<dyn std::io::BufRead>, String> {
+    if path == "-" {
+        Ok(Box::new(std::io::stdin().lock()))
     } else {
-        let top = f.num::<usize>("top", 8)?;
-        print!("{}", profile.render_table(top));
+        let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
+        Ok(Box::new(std::io::BufReader::new(file)))
     }
-    if let Some(out) = f.get("out") {
-        std::fs::write(out, profile.to_json().render() + "\n")
-            .map_err(|e| format!("--out {out}: {e}"))?;
+}
+
+/// Prints an offline fold's report (`--json`, else its table) and writes
+/// the JSON to `--out`, rendering it once when both want it.
+fn emit_folded(
+    f: &Flags,
+    json: impl Fn() -> String,
+    table: impl Fn(usize) -> String,
+) -> Result<(), String> {
+    let out = f.get("out");
+    let doc = (f.has("json") || out.is_some()).then(json);
+    match &doc {
+        Some(doc) if f.has("json") => println!("{doc}"),
+        _ => print!("{}", table(f.num::<usize>("top", 8)?)),
+    }
+    if let (Some(out), Some(doc)) = (out, doc) {
+        std::fs::write(out, doc + "\n").map_err(|e| format!("--out {out}: {e}"))?;
     }
     Ok(())
 }
 
+/// Folds a `--trace` JSONL file into the same `ssmp-profile-v1` profile
+/// a live `--profile` run produces — byte-identical JSON, so the two
+/// paths can be diffed against each other (and are, in CI). The trace is
+/// streamed, never held in memory whole.
+fn analyze(f: &Flags) -> Result<(), String> {
+    let path = f.require("in")?;
+    let input = open_input(path).map_err(|e| format!("--in {e}"))?;
+    let profile = ssmp_profile::Profile::from_jsonl(input).map_err(|e| format!("{path}: {e}"))?;
+    emit_folded(
+        f,
+        || profile.to_json().render(),
+        |top| profile.render_table(top),
+    )
+}
+
 /// Stitches a `--trace` JSONL file into the same `ssmp-span-v1` span set
 /// a live `--spans` run produces — byte-identical JSON, so the two paths
-/// can be diffed against each other (and are, in CI).
+/// can be diffed against each other (and are, in CI). The trace is
+/// streamed, never held in memory whole.
 fn spans(f: &Flags) -> Result<(), String> {
     let path = f.require("in")?;
-    let text = read_input(path).map_err(|e| format!("--in {e}"))?;
-    let set =
-        ssmp_span::SpanSet::from_jsonl(text.as_bytes()).map_err(|e| format!("{path}: {e}"))?;
-    if f.has("json") {
-        println!("{}", set.to_json().render());
-    } else {
-        let top = f.num::<usize>("top", 8)?;
-        print!("{}", set.render_table(top));
-    }
-    if let Some(out) = f.get("out") {
-        std::fs::write(out, set.to_json().render() + "\n")
-            .map_err(|e| format!("--out {out}: {e}"))?;
-    }
-    Ok(())
+    let input = open_input(path).map_err(|e| format!("--in {e}"))?;
+    let set = ssmp_span::SpanSet::from_jsonl(input).map_err(|e| format!("{path}: {e}"))?;
+    emit_folded(f, || set.to_json().render(), |top| set.render_table(top))
 }
 
 /// Summarizes (and optionally validates) an event-trace file produced by

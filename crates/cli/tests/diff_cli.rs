@@ -429,6 +429,57 @@ fn analyze_spans_and_diff_accept_stdin() {
 }
 
 #[test]
+fn streamed_stdin_and_file_inputs_write_identical_out() {
+    use std::io::Write as _;
+    let (trace_p, trace) = tmp("stream.jsonl");
+    run_cli_ok(&[
+        "run",
+        "--workload",
+        "work-queue",
+        "--protocol",
+        "wbi",
+        "--nodes",
+        "4",
+        "--grain",
+        "fine",
+        "--trace",
+        &trace,
+    ]);
+    let trace_bytes = std::fs::read(&trace_p).unwrap();
+    for sub in ["analyze", "spans"] {
+        let (stdin_p, stdin_out) = tmp(&format!("{sub}-stdin.json"));
+        let (file_p, file_out) = tmp(&format!("{sub}-file.json"));
+        let mut child = cli()
+            .args([sub, "--in", "-", "--out", &stdin_out])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn ssmp-cli");
+        child.stdin.take().unwrap().write_all(&trace_bytes).unwrap();
+        let out = child.wait_with_output().unwrap();
+        assert!(
+            out.status.success(),
+            "{sub} --in - failed:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        // `--json` with `--out` prints exactly the bytes it writes
+        let printed = run_cli_ok(&[sub, "--in", &trace, "--json", "--out", &file_out]);
+        let from_stdin = std::fs::read(&stdin_p).unwrap();
+        let from_file = std::fs::read(&file_p).unwrap();
+        assert!(!from_file.is_empty(), "{sub}: empty --out");
+        assert_eq!(
+            from_stdin, from_file,
+            "{sub}: --in - and --in <file> differ"
+        );
+        assert_eq!(printed, from_file, "{sub}: --json and --out differ");
+        std::fs::remove_file(stdin_p).ok();
+        std::fs::remove_file(file_p).ok();
+    }
+    std::fs::remove_file(trace_p).ok();
+}
+
+#[test]
 fn profile_artifacts_diff_directly() {
     // `--profile=<file>` documents are first-class diff inputs too
     let (pa_p, pa) = tmp("prof-a.json");

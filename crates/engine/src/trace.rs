@@ -336,6 +336,37 @@ pub fn parse_jsonl_event(doc: &Json) -> Result<OwnedEvent, String> {
     })
 }
 
+/// Streams a JSONL trace (one event object per line) into `fold`, reading
+/// every line into one reused buffer. Blank lines are skipped; a read
+/// error or malformed line aborts with its 1-based line number. Line
+/// endings are stripped as [`BufRead::lines`](std::io::BufRead::lines)
+/// strips them (`\n` or `\r\n`).
+pub fn fold_jsonl<R: std::io::BufRead>(
+    mut reader: R,
+    mut fold: impl FnMut(&OwnedEvent),
+) -> Result<(), String> {
+    let mut line = String::new();
+    for n in 1.. {
+        line.clear();
+        let read = reader
+            .read_line(&mut line)
+            .map_err(|e| format!("line {n}: {e}"))?;
+        if read == 0 {
+            break;
+        }
+        let text = match line.strip_suffix('\n') {
+            Some(l) => l.strip_suffix('\r').unwrap_or(l),
+            None => &line,
+        };
+        if text.trim().is_empty() {
+            continue;
+        }
+        let doc = Json::parse(text).map_err(|e| format!("line {n}: {e}"))?;
+        fold(&parse_jsonl_event(&doc).map_err(|e| format!("line {n}: {e}"))?);
+    }
+    Ok(())
+}
+
 /// An event filter: `None` sets admit everything.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceFilter {
@@ -1015,5 +1046,19 @@ mod tests {
         }
         assert_eq!(Family::from_token("nope"), None);
         assert_eq!(Kind::from_token("nope"), None);
+    }
+
+    #[test]
+    fn fold_jsonl_strips_line_endings_and_numbers_lines() {
+        let a = ev(3, 1, Kind::Issue).to_jsonl();
+        let b = ev(9, -1, Kind::Done).to_jsonl();
+        let mut seen = Vec::new();
+        fold_jsonl(format!("{a}\r\n\n  \r\n{b}").as_bytes(), |e| {
+            seen.push((e.cycle, e.node))
+        })
+        .unwrap();
+        assert_eq!(seen, vec![(3, 1), (9, -1)]);
+        let err = fold_jsonl(format!("{a}\n\n{{bad\n").as_bytes(), |_| {}).unwrap_err();
+        assert!(err.starts_with("line 3: "), "{err}");
     }
 }

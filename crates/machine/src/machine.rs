@@ -905,8 +905,10 @@ impl Machine {
                 }
             }
         }
-        let profile = self.profile.as_ref().map(|h| h.borrow().clone());
-        let spans = self.spans.as_ref().map(|h| h.borrow().clone());
+        // The `Done` markers above are the last events the observers see,
+        // so their folds are complete: move them into the report.
+        let profile = self.profile.as_ref().map(|h| h.take());
+        let spans = self.spans.as_ref().map(|h| h.take());
         let violations = match &self.check {
             Some(c) => {
                 let mut checker = c.borrow_mut();

@@ -35,7 +35,7 @@ use std::fmt::Write as _;
 use std::io::BufRead;
 use std::rc::Rc;
 
-use ssmp_engine::trace::{parse_jsonl_event, OwnedEvent};
+use ssmp_engine::trace::{fold_jsonl, OwnedEvent};
 use ssmp_engine::{Cycle, Family, Histogram, Json, Kind, TraceEvent, TraceSink};
 
 /// The stable schema identifier stamped into rendered profiles.
@@ -334,20 +334,12 @@ impl Profile {
         }
     }
 
-    /// Replays a JSONL trace (one event object per line) through the fold.
-    /// Blank lines are skipped; any malformed line aborts with its line
-    /// number.
+    /// Replays a JSONL trace (one event object per line) through the fold,
+    /// streaming it line by line. Blank lines are skipped; any malformed
+    /// line aborts with its line number.
     pub fn from_jsonl<R: BufRead>(reader: R) -> Result<Profile, String> {
         let mut p = Profile::new();
-        for (i, line) in reader.lines().enumerate() {
-            let line = line.map_err(|e| format!("line {}: {e}", i + 1))?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let doc = Json::parse(&line).map_err(|e| format!("line {}: {e}", i + 1))?;
-            let ev = parse_jsonl_event(&doc).map_err(|e| format!("line {}: {e}", i + 1))?;
-            p.fold_owned(&ev);
-        }
+        fold_jsonl(reader, |ev| p.fold_owned(ev))?;
         Ok(p)
     }
 

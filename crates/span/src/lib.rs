@@ -31,6 +31,11 @@
 //! runs; **offline**, [`SpanSet::from_jsonl`] replays a JSONL trace file
 //! through the identical fold. Given the same event stream the two paths
 //! produce byte-identical JSON ([`SpanSet::to_json`], schema [`SCHEMA`]).
+//!
+//! Folding an event allocates nothing per span in steady state: wires and
+//! transactions live in id-indexed tables, open spans in a slab that
+//! reuses its wire lists, span types are interned, and a closed span is a
+//! fixed-size record with array-indexed segments and family transit.
 
 #![warn(missing_docs)]
 
@@ -40,7 +45,7 @@ use std::fmt::Write as _;
 use std::io::BufRead;
 use std::rc::Rc;
 
-use ssmp_engine::trace::{parse_jsonl_event, OwnedEvent};
+use ssmp_engine::trace::{fold_jsonl, OwnedEvent};
 use ssmp_engine::{Cycle, Family, Json, Kind, TraceEvent, TraceSink};
 
 /// The stable schema identifier stamped into rendered span reports.
@@ -48,14 +53,95 @@ pub const SCHEMA: &str = "ssmp-span-v1";
 
 /// Segment labels, in rendering order. Every cycle of a span's
 /// end-to-end latency lands in exactly one segment, so per span the
-/// segment sum equals the span's duration.
+/// segment sum equals the span's duration. [`ClosedSpan::segments`] is
+/// indexed like this array.
 pub const SEGMENTS: [&str; 7] = ["issue", "wbuf", "net", "mem", "queue", "complete", "local"];
+
+/// Indices into [`SEGMENTS`] and [`ClosedSpan::segments`].
+const ISSUE: usize = 0;
+const WBUF: usize = 1;
+const NET: usize = 2;
+const MEM: usize = 3;
+const QUEUE: usize = 4;
+const COMPLETE: usize = 5;
+const LOCAL: usize = 6;
+
+/// Number of protocol families; [`ClosedSpan::family_net`] is indexed by
+/// `Family as usize`.
+const FAMILIES: usize = Family::ALL.len();
 
 /// Exact nearest-rank quantile — the engine's shared definition, re-exported
 /// so span consumers keep their historical import path. The diff engine's
 /// distribution comparison uses the same function, so both layers pin
 /// identical percentile semantics.
 pub use ssmp_engine::stats::nearest_rank;
+
+/// The "no entry" value of a `u32` table index.
+const NONE: u32 = u32::MAX;
+
+/// Ids an [`IdTable`] may add to its dense part beyond twice the number
+/// of ids it holds.
+const DENSE_SLACK: u64 = 1024;
+
+/// Per-id state indexed by a machine-allocated id (wires, transactions).
+///
+/// The machine numbers wires and transactions densely and monotonically,
+/// so a vector indexed by id holds them with no per-id lookup cost. A
+/// hand-written or filtered trace may use sparse or huge ids; an id too
+/// far past the dense part (more than twice the ids held plus
+/// [`DENSE_SLACK`]) goes to an ordered overflow map instead, so memory
+/// stays proportional to the number of distinct ids seen. Every overflow
+/// id is at or past the dense part's end; growing the dense part moves the
+/// ids it reaches. A slot equal to `T::default()` is unused.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct IdTable<T> {
+    dense: Vec<T>,
+    sparse: BTreeMap<u64, T>,
+    /// Distinct ids held (dense slots touched plus overflow entries).
+    held: u64,
+}
+
+impl<T: Clone + Default + PartialEq> IdTable<T> {
+    /// `id`'s index in the dense part, if it lies there.
+    fn dense_index(&self, id: u64) -> Option<usize> {
+        usize::try_from(id).ok().filter(|&i| i < self.dense.len())
+    }
+
+    fn get(&self, id: u64) -> Option<&T> {
+        match self.dense_index(id) {
+            Some(i) => Some(&self.dense[i]),
+            None => self.sparse.get(&id),
+        }
+    }
+
+    /// The slot for `id`, created empty if the id is new. The caller
+    /// must leave it non-empty.
+    fn slot(&mut self, id: u64) -> &mut T {
+        let len = self.dense.len() as u64;
+        if id >= len && id < 2 * self.held + DENSE_SLACK {
+            self.dense.resize(id as usize + 1, T::default());
+            while let Some(e) = self.sparse.first_entry() {
+                if *e.key() > id {
+                    break;
+                }
+                let (k, v) = e.remove_entry();
+                self.dense[k as usize] = v;
+            }
+        }
+        let slot = match self.dense_index(id) {
+            Some(i) => &mut self.dense[i],
+            None => self.sparse.entry(id).or_default(),
+        };
+        if *slot == T::default() {
+            self.held += 1;
+        }
+        slot
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.dense.iter().chain(self.sparse.values())
+    }
+}
 
 /// What the fold knows about one wire id (a routed protocol message).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -68,40 +154,7 @@ struct Wire {
     owner: Option<u64>,
 }
 
-/// Ids a [`WireTable`] may add to its dense part beyond twice the number
-/// of ids it holds.
-const DENSE_SLACK: u64 = 1024;
-
-/// Per-wire state indexed by wire id.
-///
-/// The machine numbers wires densely and monotonically, so a vector
-/// indexed by id holds them with no per-wire lookup cost. A hand-written
-/// or filtered trace may use sparse or huge ids; an id too far past the
-/// dense part (more than twice the ids held plus [`DENSE_SLACK`]) goes to
-/// an ordered overflow map instead, so memory stays proportional to the
-/// number of distinct ids seen. Every overflow id is at or past the dense
-/// part's end; growing the dense part moves the ids it reaches.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct WireTable {
-    dense: Vec<Wire>,
-    sparse: BTreeMap<u64, Wire>,
-    /// Distinct ids held (dense slots touched plus overflow entries).
-    held: u64,
-}
-
-impl WireTable {
-    /// `id`'s index in the dense part, if it lies there.
-    fn dense_index(&self, id: u64) -> Option<usize> {
-        usize::try_from(id).ok().filter(|&i| i < self.dense.len())
-    }
-
-    fn get(&self, id: u64) -> Option<&Wire> {
-        match self.dense_index(id) {
-            Some(i) => Some(&self.dense[i]),
-            None => self.sparse.get(&id),
-        }
-    }
-
+impl IdTable<Wire> {
     /// The injected wire `id`, if `NetInject` was seen for it.
     fn injected(&self, id: u64) -> Option<&Wire> {
         self.get(id).filter(|w| w.inject.is_some())
@@ -110,43 +163,47 @@ impl WireTable {
     fn owner(&self, id: u64) -> Option<u64> {
         self.get(id).and_then(|w| w.owner)
     }
+}
 
-    /// The slot for `id`, created empty if the id is new.
-    fn slot(&mut self, id: u64) -> &mut Wire {
-        let len = self.dense.len() as u64;
-        if id >= len && id < 2 * self.held + DENSE_SLACK {
-            self.dense.resize(id as usize + 1, Wire::default());
-            while let Some(e) = self.sparse.first_entry() {
-                if *e.key() > id {
-                    break;
-                }
-                let (k, w) = e.remove_entry();
-                self.dense[k as usize] = w;
-            }
-        }
-        let slot = match self.dense_index(id) {
-            Some(i) => &mut self.dense[i],
-            None => self.sparse.entry(id).or_default(),
-        };
-        if *slot == Wire::default() {
-            self.held += 1;
-        }
-        slot
-    }
+/// Where one transaction id's state lives: its open span's slab index
+/// and its closed record's index, each [`NONE`] when absent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Txn {
+    open: u32,
+    closed: u32,
+}
 
-    fn iter(&self) -> impl Iterator<Item = &Wire> {
-        self.dense.iter().chain(self.sparse.values())
+impl Default for Txn {
+    fn default() -> Self {
+        Self {
+            open: NONE,
+            closed: NONE,
+        }
     }
 }
 
-/// A span that has begun but not yet ended.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A span that has begun but not yet ended (one slab entry; a freed
+/// entry keeps its wire list's capacity for the next span).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct OpenSpan {
     node: i64,
-    detail: String,
+    ty: u32,
     begin: Cycle,
     /// Wires linked to this transaction, in link order.
     wires: Vec<u64>,
+}
+
+/// One interned span type.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SpanType {
+    name: Box<str>,
+    /// `"wbuf.write"`: a buffered write, whose leading gap is wbuf time.
+    wbuf_write: bool,
+    /// May adopt a foreign wakeup wire. Timer spans end by local
+    /// countdown and buffered writes end on their own acknowledged wire,
+    /// so a foreign delivery inside their window is coincidence, not
+    /// cause.
+    adoptable: bool,
 }
 
 /// A finished transaction span.
@@ -156,22 +213,23 @@ pub struct ClosedSpan {
     pub txn: u64,
     /// The node the transaction ran on.
     pub node: i64,
-    /// Transaction type: the stall cause tag (`"fill"`, `"lock"`,
-    /// `"flush.cp-synch"`, ...), `"wbuf.write"` for buffered global
-    /// writes, or the op name for fire-and-forget sends.
-    pub detail: String,
+    /// Interned transaction type; [`SpanSet::detail`] resolves it to the
+    /// stall cause tag (`"fill"`, `"lock"`, `"flush.cp-synch"`, ...),
+    /// `"wbuf.write"` for buffered global writes, or the op name for
+    /// fire-and-forget sends.
+    pub ty: u32,
     /// Begin cycle.
     pub begin: Cycle,
     /// End cycle.
     pub end: Cycle,
     /// End-to-end latency (`end - begin`).
     pub dur: Cycle,
-    /// Exact-sum segment breakdown: `segments.values().sum() == dur`.
-    pub segments: BTreeMap<&'static str, Cycle>,
-    /// Network-transit cycles attributed per protocol family token.
-    pub family_net: BTreeMap<&'static str, Cycle>,
-    /// Wires owned by (linked to) this transaction.
-    pub wires: Vec<u64>,
+    /// Exact-sum segment breakdown, indexed like [`SEGMENTS`]:
+    /// `segments.iter().sum() == dur`.
+    pub segments: [Cycle; 7],
+    /// Network-transit cycles attributed per protocol family, indexed by
+    /// `Family as usize`.
+    pub family_net: [Cycle; FAMILIES],
     /// A foreign wire whose delivery woke this span (cross-transaction
     /// causal edge), if one was adopted.
     pub adopted_wire: Option<u64>,
@@ -224,19 +282,61 @@ impl Health {
 /// wire's injection are time the transaction sat *at* the component that
 /// received the first wire — the CBL queue for lock messages, directory
 /// or memory service otherwise.
-fn gap_after(family: Family) -> &'static str {
+fn gap_after(family: Family) -> usize {
     match family {
-        Family::Cbl => "queue",
-        _ => "mem",
+        Family::Cbl => QUEUE,
+        _ => MEM,
     }
 }
 
-/// Whether a span type may adopt a foreign wakeup wire. Timer spans end
-/// by local countdown and buffered writes end on their own acknowledged
-/// wire, so a foreign delivery inside their window is coincidence, not
-/// cause.
-fn adoptable(detail: &str, dur: Cycle) -> bool {
-    dur > 0 && detail != "wbuf.write" && !detail.starts_with("timer")
+/// Node ids at or past this bound (and below -1) keep their logs in an
+/// ordered map instead of the node-indexed vector.
+const DENSE_NODES: i64 = 1 << 16;
+
+/// One node's history, both in stream order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct NodeLog {
+    /// Wire deliveries `(cycle, wire)`.
+    delivered: Vec<(Cycle, u64)>,
+    /// Closed spans `(end, txn)`. Ends are monotone in a machine trace,
+    /// so this is binary-searchable.
+    closed: Vec<(Cycle, u64)>,
+}
+
+/// Per-node logs: a vector indexed by `node + 1` for the machine's ids
+/// (`-1` is the directory), an ordered map for any other id a
+/// hand-written trace uses.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct NodeLogs {
+    dense: Vec<NodeLog>,
+    odd: BTreeMap<i64, NodeLog>,
+}
+
+impl NodeLogs {
+    fn index(node: i64) -> Option<usize> {
+        (-1..DENSE_NODES)
+            .contains(&node)
+            .then(|| (node + 1) as usize)
+    }
+
+    fn get(&self, node: i64) -> Option<&NodeLog> {
+        match Self::index(node) {
+            Some(i) => self.dense.get(i),
+            None => self.odd.get(&node),
+        }
+    }
+
+    fn get_mut(&mut self, node: i64) -> &mut NodeLog {
+        match Self::index(node) {
+            Some(i) => {
+                if i >= self.dense.len() {
+                    self.dense.resize_with(i + 1, NodeLog::default);
+                }
+                &mut self.dense[i]
+            }
+            None => self.odd.entry(node).or_default(),
+        }
+    }
 }
 
 /// The span accumulator: folds trace events into closed spans, latency
@@ -244,15 +344,20 @@ fn adoptable(detail: &str, dur: Cycle) -> bool {
 /// (via [`SpanSink`]) or offline (via [`SpanSet::from_jsonl`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpanSet {
-    wires: WireTable,
-    open: BTreeMap<u64, OpenSpan>,
-    /// Finished spans, keyed by transaction id.
-    pub closed: BTreeMap<u64, ClosedSpan>,
-    /// Per node: delivery history `(cycle, wire)` in stream order.
-    delivered_to: BTreeMap<i64, Vec<(Cycle, u64)>>,
-    /// Per node: closed spans `(end, txn)` in close order (ends are
-    /// monotone, so this is binary-searchable).
-    node_history: BTreeMap<i64, Vec<(Cycle, u64)>>,
+    wires: IdTable<Wire>,
+    txns: IdTable<Txn>,
+    /// Open-span slab; `free` lists its unused entries.
+    open: Vec<OpenSpan>,
+    free: Vec<u32>,
+    /// Finished spans in close order, one per transaction id (a reused id
+    /// keeps the position of its first close and holds its latest span).
+    closed: Vec<ClosedSpan>,
+    /// Interned span types, in first-seen order.
+    types: Vec<SpanType>,
+    nodes: NodeLogs,
+    /// Scratch for one close: the span's wires as `(inject, wire, family,
+    /// deliver)`.
+    timeline: Vec<(Cycle, u64, Family, Option<Cycle>)>,
     /// Health counters (orphans, dangling links, adoption count).
     pub health: Health,
 }
@@ -304,44 +409,80 @@ impl SpanSet {
                 let w = self.wires.slot(id);
                 if w.deliver.is_none() {
                     w.deliver = Some(cycle);
-                    self.delivered_to.entry(node).or_default().push((cycle, id));
+                    self.nodes.get_mut(node).delivered.push((cycle, id));
                 }
             }
             Kind::Link => {
                 // id = wire, arg = owning transaction.
                 self.health.links += 1;
                 self.wires.slot(id).owner = Some(arg);
-                match self.open.get_mut(&arg) {
-                    Some(s) => s.wires.push(id),
-                    None if self.closed.contains_key(&arg) => self.health.late_links += 1,
-                    None => self.health.dangling_links += 1,
+                match self.txns.get(arg).copied().unwrap_or_default() {
+                    Txn { open, .. } if open != NONE => self.open[open as usize].wires.push(id),
+                    Txn { closed, .. } if closed != NONE => self.health.late_links += 1,
+                    _ => self.health.dangling_links += 1,
                 }
             }
             Kind::SpanBegin => {
-                self.open.insert(
-                    id,
-                    OpenSpan {
-                        node,
-                        detail: detail.to_string(),
-                        begin: cycle,
-                        wires: Vec::new(),
-                    },
-                );
+                let ty = self.intern(detail);
+                let t = self.txns.slot(id);
+                if t.open == NONE {
+                    t.open = match self.free.pop() {
+                        Some(i) => i,
+                        None => {
+                            let i = to_index(self.open.len());
+                            self.open.push(OpenSpan::default());
+                            i
+                        }
+                    };
+                }
+                // A duplicate begin restarts the open span.
+                let o = &mut self.open[t.open as usize];
+                o.node = node;
+                o.ty = ty;
+                o.begin = cycle;
+                o.wires.clear();
             }
             Kind::SpanEnd => self.close(id, cycle),
             _ => {}
         }
     }
 
+    /// The type index of `detail`, interned on first sight.
+    fn intern(&mut self, detail: &str) -> u32 {
+        if let Some(i) = self.types.iter().position(|t| &*t.name == detail) {
+            return i as u32;
+        }
+        let i = to_index(self.types.len());
+        let wbuf_write = detail == "wbuf.write";
+        self.types.push(SpanType {
+            name: detail.into(),
+            wbuf_write,
+            adoptable: !wbuf_write && !detail.starts_with("timer"),
+        });
+        i
+    }
+
+    /// The closed record of transaction `txn`, if it closed.
+    fn record(&self, txn: u64) -> Option<&ClosedSpan> {
+        let t = self.txns.get(txn)?;
+        self.closed.get(t.closed as usize) // `NONE` lies past the end
+    }
+
     /// Closes span `txn` at `end`: adopts a foreign wakeup wire if one
     /// explains the end, tiles the window into exact-sum segments, and
     /// extends the critical-path DP.
     fn close(&mut self, txn: u64, end: Cycle) {
-        let Some(o) = self.open.remove(&txn) else {
-            self.health.orphan_ends += 1;
-            return;
+        let slab = match self.txns.get(txn) {
+            Some(t) if t.open != NONE => t.open,
+            _ => {
+                self.health.orphan_ends += 1;
+                return;
+            }
         };
-        let (node, begin) = (o.node, o.begin);
+        let o = &mut self.open[slab as usize];
+        let (node, ty, begin) = (o.node, o.ty, o.begin);
+        let mut span_wires = std::mem::take(&mut o.wires);
+        let ty_info = &self.types[ty as usize];
         let dur = end.saturating_sub(begin);
 
         // Adoption: the latest wire delivered to this node inside the
@@ -349,9 +490,9 @@ impl SpanSet {
         // wakeup (a CBL grant, an invalidation, a barrier release) —
         // adopt it so its transit is tiled and record the causal edge.
         let mut adopted_wire = None;
-        if adoptable(&o.detail, dur) {
-            if let Some(hist) = self.delivered_to.get(&node) {
-                for &(c, w) in hist.iter().rev() {
+        if ty_info.adoptable && dur > 0 {
+            if let Some(log) = self.nodes.get(node) {
+                for &(c, w) in log.delivered.iter().rev() {
                     if c > end {
                         continue;
                     }
@@ -376,34 +517,32 @@ impl SpanSet {
         // the remainder is completion (or purely local work). Every
         // cursor advance lands in exactly one segment, so the segment
         // sum equals `dur` by construction.
-        let mut span_wires = o.wires;
-        span_wires.extend(adopted_wire);
-        let mut timeline: Vec<(Cycle, u64, Family, Option<Cycle>)> = span_wires
-            .iter()
-            .filter_map(|&w| {
-                let wire = self.wires.get(w)?;
-                let (inject, family) = wire.inject?;
-                Some((inject, w, family, wire.deliver))
-            })
-            .collect();
-        timeline.sort_unstable_by_key(|&(inject, w, ..)| (inject, w));
-        let mut segments: BTreeMap<&'static str, Cycle> = BTreeMap::new();
-        let mut family_net: BTreeMap<&'static str, Cycle> = BTreeMap::new();
-        let first_gap = if o.detail == "wbuf.write" {
-            "wbuf"
-        } else {
-            "issue"
-        };
+        let wires = &self.wires;
+        self.timeline.clear();
+        self.timeline.extend(
+            span_wires
+                .iter()
+                .chain(adopted_wire.iter())
+                .filter_map(|&w| {
+                    let wire = wires.get(w)?;
+                    let (inject, family) = wire.inject?;
+                    Some((inject, w, family, wire.deliver))
+                }),
+        );
+        self.timeline
+            .sort_unstable_by_key(|&(inject, w, ..)| (inject, w));
+        let mut segments = [0; 7];
+        let mut family_net = [0; FAMILIES];
+        let first_gap = if ty_info.wbuf_write { WBUF } else { ISSUE };
         let mut cursor = begin;
         let mut prev: Option<Family> = None;
-        for &(inject, _, family, deliver) in &timeline {
+        for &(inject, _, family, deliver) in &self.timeline {
             if cursor >= end {
                 break;
             }
             let at = inject.clamp(cursor, end);
             if at > cursor {
-                let label = prev.map_or(first_gap, gap_after);
-                *segments.entry(label).or_insert(0) += at - cursor;
+                segments[prev.map_or(first_gap, gap_after)] += at - cursor;
                 cursor = at;
             }
             let Some(deliver) = deliver else {
@@ -411,27 +550,29 @@ impl SpanSet {
             };
             let until = deliver.clamp(cursor, end);
             if until > cursor {
-                *segments.entry("net").or_insert(0) += until - cursor;
-                *family_net.entry(family.token()).or_insert(0) += until - cursor;
+                segments[NET] += until - cursor;
+                family_net[family as usize] += until - cursor;
                 cursor = until;
             }
             prev = Some(family);
         }
         if cursor < end {
-            let label = if prev.is_none() { "local" } else { "complete" };
-            *segments.entry(label).or_insert(0) += end - cursor;
+            segments[if prev.is_none() { LOCAL } else { COMPLETE }] += end - cursor;
         }
+        span_wires.clear();
+        self.open[slab as usize].wires = span_wires;
+        self.free.push(slab);
 
         // Critical-path DP over program-order and causal edges. Ends
         // are monotone in stream order, so the per-node history is
         // sorted and the program-order predecessor (latest span on this
         // node ending at or before `begin`) is a binary search away.
-        let hist = self.node_history.entry(node).or_default();
-        let idx = hist.partition_point(|&(e, _)| e <= begin);
-        let prog_parent = idx.checked_sub(1).map(|i| hist[i].1);
+        let prog_parent = self.nodes.get(node).and_then(|log| {
+            let idx = log.closed.partition_point(|&(e, _)| e <= begin);
+            idx.checked_sub(1).map(|i| log.closed[i].1)
+        });
         let parent_dist = |p: Option<u64>| -> Option<(Cycle, u64)> {
-            let p = p?;
-            self.closed.get(&p).map(|s| (s.dist, p))
+            p.and_then(|p| self.record(p).map(|s| (s.dist, p)))
         };
         let best = [parent_dist(prog_parent), parent_dist(causal_parent)]
             .into_iter()
@@ -442,43 +583,39 @@ impl SpanSet {
             None => (dur, None),
         };
 
-        self.node_history.entry(node).or_default().push((end, txn));
+        self.nodes.get_mut(node).closed.push((end, txn));
         self.health.spans += 1;
-        self.closed.insert(
+        let record = ClosedSpan {
             txn,
-            ClosedSpan {
-                txn,
-                node,
-                detail: o.detail,
-                begin,
-                end,
-                dur,
-                segments,
-                family_net,
-                wires: span_wires,
-                adopted_wire,
-                prog_parent,
-                causal_parent,
-                dist,
-                path_parent,
-            },
-        );
+            node,
+            ty,
+            begin,
+            end,
+            dur,
+            segments,
+            family_net,
+            adopted_wire,
+            prog_parent,
+            causal_parent,
+            dist,
+            path_parent,
+        };
+        let t = self.txns.slot(txn);
+        t.open = NONE;
+        if t.closed == NONE {
+            t.closed = to_index(self.closed.len());
+            self.closed.push(record);
+        } else {
+            self.closed[t.closed as usize] = record;
+        }
     }
 
     /// Replays a JSONL trace (one event object per line) through the
-    /// fold. Blank lines are skipped; any malformed line aborts with its
-    /// line number.
+    /// fold, streaming it line by line. Blank lines are skipped; any
+    /// malformed line aborts with its line number.
     pub fn from_jsonl<R: BufRead>(reader: R) -> Result<SpanSet, String> {
         let mut s = SpanSet::new();
-        for (i, line) in reader.lines().enumerate() {
-            let line = line.map_err(|e| format!("line {}: {e}", i + 1))?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let doc = Json::parse(&line).map_err(|e| format!("line {}: {e}", i + 1))?;
-            let ev = parse_jsonl_event(&doc).map_err(|e| format!("line {}: {e}", i + 1))?;
-            s.fold_owned(&ev);
-        }
+        fold_jsonl(reader, |ev| s.fold_owned(ev))?;
         Ok(s)
     }
 
@@ -486,7 +623,7 @@ impl SpanSet {
     /// open become orphaned begins, wires still in flight undelivered).
     pub fn health(&self) -> Health {
         let mut h = self.health;
-        h.orphan_begins = self.open.len() as u64;
+        h.orphan_begins = (self.open.len() - self.free.len()) as u64;
         h.undelivered_wires = self
             .wires
             .iter()
@@ -495,45 +632,60 @@ impl SpanSet {
         h
     }
 
+    /// Every closed span in close order, one record per transaction id.
+    pub fn closed(&self) -> &[ClosedSpan] {
+        &self.closed
+    }
+
+    /// The transaction type of `span` (a span of this set).
+    pub fn detail(&self, span: &ClosedSpan) -> &str {
+        &self.types[span.ty as usize].name
+    }
+
+    /// Raw end-to-end latencies per type index, each ascending, ordered
+    /// by type name; a type with no closed span is left out.
+    fn latencies_per_type(&self) -> Vec<(usize, Vec<u64>)> {
+        let mut per_type = vec![Vec::new(); self.types.len()];
+        for s in &self.closed {
+            per_type[s.ty as usize].push(s.dur);
+        }
+        let mut v: Vec<(usize, Vec<u64>)> = per_type
+            .into_iter()
+            .enumerate()
+            .filter(|(_, lats)| !lats.is_empty())
+            .collect();
+        v.sort_unstable_by(|a, b| self.types[a.0].name.cmp(&self.types[b.0].name));
+        for (_, lats) in &mut v {
+            lats.sort_unstable();
+        }
+        v
+    }
+
     /// Raw end-to-end latencies per transaction type, ascending.
     pub fn latencies_by_type(&self) -> BTreeMap<&str, Vec<u64>> {
-        let mut m: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
-        for s in self.closed.values() {
-            m.entry(&s.detail).or_default().push(s.dur);
-        }
-        for v in m.values_mut() {
-            v.sort_unstable();
-        }
-        m
+        self.latencies_per_type()
+            .into_iter()
+            .map(|(t, lats)| (&*self.types[t].name, lats))
+            .collect()
     }
 
     /// All end-to-end latencies, ascending.
     pub fn latencies(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.closed.values().map(|s| s.dur).collect();
+        let mut v: Vec<u64> = self.closed.iter().map(|s| s.dur).collect();
         v.sort_unstable();
         v
     }
 
-    /// Total cycles per segment label across every closed span.
+    /// Total cycles per segment label across every closed span; a
+    /// segment no span spent a cycle in is absent.
     pub fn segment_totals(&self) -> BTreeMap<&'static str, Cycle> {
-        let mut m = BTreeMap::new();
-        for s in self.closed.values() {
-            for (&k, &v) in &s.segments {
-                *m.entry(k).or_insert(0) += v;
-            }
-        }
-        m
+        nonzero(SEGMENTS, sum_segments(&self.closed))
     }
 
-    /// Network-transit cycles per protocol family across every span.
+    /// Network-transit cycles per protocol family across every span; a
+    /// family with no transit is absent.
     pub fn family_totals(&self) -> BTreeMap<&'static str, Cycle> {
-        let mut m = BTreeMap::new();
-        for s in self.closed.values() {
-            for (&k, &v) in &s.family_net {
-                *m.entry(k).or_insert(0) += v;
-            }
-        }
-        m
+        nonzero(Family::ALL.map(Family::token), sum_families(&self.closed))
     }
 
     /// The critical path: the longest dependency chain of spans, walked
@@ -542,14 +694,21 @@ impl SpanSet {
     pub fn critical_path(&self) -> Vec<&ClosedSpan> {
         let Some(tail) = self
             .closed
-            .values()
+            .iter()
             .max_by(|a, b| a.dist.cmp(&b.dist).then(b.txn.cmp(&a.txn)))
         else {
             return Vec::new();
         };
         let mut chain = vec![tail];
         let mut cur = tail;
-        while let Some(p) = cur.path_parent.and_then(|p| self.closed.get(&p)) {
+        // A transaction id reused on one node can make a record its own
+        // ancestor (its earlier instance, since overwritten, was the
+        // program-order parent); an acyclic chain never repeats a record,
+        // so it never outgrows the set.
+        while chain.len() < self.closed.len() {
+            let Some(p) = cur.path_parent.and_then(|p| self.record(p)) else {
+                break;
+            };
             chain.push(p);
             cur = p;
         }
@@ -574,11 +733,12 @@ impl SpanSet {
         ])
     }
 
-    fn segments_obj(m: &BTreeMap<&'static str, Cycle>) -> Json {
+    fn segments_obj(segments: &[Cycle; 7]) -> Json {
         Json::Obj(
             SEGMENTS
                 .iter()
-                .map(|&s| (s.to_string(), Json::num(m.get(s).copied().unwrap_or(0))))
+                .zip(segments)
+                .map(|(&s, &v)| (s.to_string(), Json::num(v)))
                 .collect(),
         )
     }
@@ -588,40 +748,26 @@ impl SpanSet {
     /// rendered the same way regardless of pipeline.
     pub fn to_json(&self) -> Json {
         let overall = self.latencies();
-        let by_type = self.latencies_by_type();
-        let mut type_segments: BTreeMap<&str, BTreeMap<&'static str, Cycle>> = BTreeMap::new();
-        for s in self.closed.values() {
-            let t = type_segments.entry(&s.detail).or_default();
-            for (&k, &v) in &s.segments {
-                *t.entry(k).or_insert(0) += v;
-            }
+        let mut type_segments = vec![[0; 7]; self.types.len()];
+        for s in &self.closed {
+            add(&mut type_segments[s.ty as usize], &s.segments);
         }
-        let txns: Vec<Json> = by_type
-            .iter()
-            .map(|(&ty, lats)| {
-                let mut obj = vec![("type".to_string(), Json::str(ty))];
-                if let Json::Obj(stats) = Self::quantile_obj(lats) {
+        let txns: Vec<Json> = self
+            .latencies_per_type()
+            .into_iter()
+            .map(|(t, lats)| {
+                let mut obj = vec![("type".to_string(), Json::str(&*self.types[t].name))];
+                if let Json::Obj(stats) = Self::quantile_obj(&lats) {
                     obj.extend(stats);
                 }
-                obj.push((
-                    "segments".into(),
-                    Self::segments_obj(type_segments.get(ty).unwrap_or(&BTreeMap::new())),
-                ));
+                obj.push(("segments".into(), Self::segments_obj(&type_segments[t])));
                 Json::Obj(obj)
             })
             .collect();
         let chain = self.critical_path();
         let chain_cycles: Cycle = chain.iter().map(|s| s.dur).sum();
-        let mut chain_segments: BTreeMap<&'static str, Cycle> = BTreeMap::new();
-        let mut chain_families: BTreeMap<&'static str, Cycle> = BTreeMap::new();
-        for s in &chain {
-            for (&k, &v) in &s.segments {
-                *chain_segments.entry(k).or_insert(0) += v;
-            }
-            for (&k, &v) in &s.family_net {
-                *chain_families.entry(k).or_insert(0) += v;
-            }
-        }
+        let chain_segments = sum_segments(chain.iter().copied());
+        let chain_families = sum_families(chain.iter().copied());
         let mut top: Vec<&&ClosedSpan> = chain.iter().collect();
         top.sort_by(|a, b| b.dur.cmp(&a.dur).then(a.txn.cmp(&b.txn)));
         let top: Vec<Json> = top
@@ -631,22 +777,21 @@ impl SpanSet {
                 Json::Obj(vec![
                     ("txn".into(), Json::num(s.txn)),
                     ("node".into(), Json::num(s.node)),
-                    ("type".into(), Json::str(s.detail.clone())),
+                    ("type".into(), Json::str(self.detail(s))),
                     ("begin".into(), Json::num(s.begin)),
                     ("dur".into(), Json::num(s.dur)),
                     ("segments".into(), Self::segments_obj(&s.segments)),
                 ])
             })
             .collect();
-        let families: Vec<(String, Json)> = self
-            .family_totals()
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), Json::num(v)))
-            .collect();
-        let chain_families: Vec<(String, Json)> = chain_families
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), Json::num(v)))
-            .collect();
+        let families_obj = |totals: [Cycle; FAMILIES]| {
+            Json::Obj(
+                nonzero(Family::ALL.map(Family::token), totals)
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), Json::num(v)))
+                    .collect(),
+            )
+        };
         let h = self.health();
         Json::Obj(vec![
             ("schema".into(), Json::str(SCHEMA)),
@@ -654,16 +799,16 @@ impl SpanSet {
             ("txns".into(), Json::Arr(txns)),
             (
                 "segments".into(),
-                Self::segments_obj(&self.segment_totals()),
+                Self::segments_obj(&sum_segments(&self.closed)),
             ),
-            ("families".into(), Json::Obj(families)),
+            ("families".into(), families_obj(sum_families(&self.closed))),
             (
                 "critical_path".into(),
                 Json::Obj(vec![
                     ("spans".into(), Json::num(chain.len() as u64)),
                     ("cycles".into(), Json::num(chain_cycles)),
                     ("segments".into(), Self::segments_obj(&chain_segments)),
-                    ("families".into(), Json::Obj(chain_families)),
+                    ("families".into(), families_obj(chain_families)),
                     ("top".into(), Json::Arr(top)),
                 ]),
             ),
@@ -720,11 +865,10 @@ impl SpanSet {
         }
         row(&mut out, "(all)", &self.latencies());
 
-        let totals = self.segment_totals();
-        let grand: Cycle = totals.values().sum();
+        let totals = sum_segments(&self.closed);
+        let grand: Cycle = totals.iter().sum();
         let _ = writeln!(out, "\n== segment attribution (cycles, all spans) ==");
-        for &s in &SEGMENTS {
-            let v = totals.get(s).copied().unwrap_or(0);
+        for (s, &v) in SEGMENTS.iter().zip(&totals) {
             let share = if grand == 0 {
                 0.0
             } else {
@@ -757,19 +901,18 @@ impl SpanSet {
         let mut top: Vec<&&ClosedSpan> = chain.iter().collect();
         top.sort_by(|a, b| b.dur.cmp(&a.dur).then(a.txn.cmp(&b.txn)));
         for s in top.into_iter().take(k) {
-            let g = |b: &str| s.segments.get(b).copied().unwrap_or(0);
             let _ = writeln!(
                 out,
                 "{:>8} {:>5} {:<16} {:>9} {:>7}  {:>6} {:>6} {:>6} {:>6}",
                 s.txn,
                 s.node,
-                s.detail,
+                self.detail(s),
                 s.begin,
                 s.dur,
-                g("net"),
-                g("mem"),
-                g("queue"),
-                g("local")
+                s.segments[NET],
+                s.segments[MEM],
+                s.segments[QUEUE],
+                s.segments[LOCAL]
             );
         }
 
@@ -792,6 +935,51 @@ impl SpanSet {
         );
         out
     }
+}
+
+/// `len` as a `u32` table index ([`NONE`] is never a valid one).
+fn to_index(len: usize) -> u32 {
+    u32::try_from(len)
+        .ok()
+        .filter(|&i| i != NONE)
+        .expect("a span set holds fewer than 2^32 - 1 spans, open spans or types")
+}
+
+/// Adds `from` into `into` element-wise.
+fn add<const N: usize>(into: &mut [Cycle; N], from: &[Cycle; N]) {
+    for (a, b) in into.iter_mut().zip(from) {
+        *a += b;
+    }
+}
+
+/// Segment totals over `spans`.
+fn sum_segments<'a>(spans: impl IntoIterator<Item = &'a ClosedSpan>) -> [Cycle; 7] {
+    let mut t = [0; 7];
+    for s in spans {
+        add(&mut t, &s.segments);
+    }
+    t
+}
+
+/// Per-family net transit totals over `spans`.
+fn sum_families<'a>(spans: impl IntoIterator<Item = &'a ClosedSpan>) -> [Cycle; FAMILIES] {
+    let mut t = [0; FAMILIES];
+    for s in spans {
+        add(&mut t, &s.family_net);
+    }
+    t
+}
+
+/// The labelled nonzero entries of `totals`, ordered by label.
+fn nonzero<const N: usize>(
+    labels: [&'static str; N],
+    totals: [Cycle; N],
+) -> BTreeMap<&'static str, Cycle> {
+    labels
+        .into_iter()
+        .zip(totals)
+        .filter(|&(_, v)| v > 0)
+        .collect()
 }
 
 /// Shared handle to a [`SpanSet`] being filled by a [`SpanSink`].
@@ -872,13 +1060,13 @@ mod tests {
         for e in fill_events() {
             s.fold(&e);
         }
-        let span = &s.closed[&100];
+        let span = s.record(100).unwrap();
         assert_eq!(span.dur, 20);
-        assert_eq!(span.segments.values().sum::<Cycle>(), 20);
-        assert_eq!(span.segments["net"], 6 + 10, "two transits: 10→16, 20→30");
-        assert_eq!(span.segments["mem"], 4, "directory service 16→20");
-        assert!(!span.segments.contains_key("issue"), "inject at begin");
-        assert_eq!(span.family_net["ric"], 16);
+        assert_eq!(span.segments.iter().sum::<Cycle>(), 20);
+        assert_eq!(span.segments[NET], 6 + 10, "two transits: 10→16, 20→30");
+        assert_eq!(span.segments[MEM], 4, "directory service 16→20");
+        assert_eq!(span.segments[ISSUE], 0, "inject at begin");
+        assert_eq!(span.family_net[Family::Ric as usize], 16);
         assert!(s.health().clean());
     }
 
@@ -906,11 +1094,11 @@ mod tests {
         for e in evs {
             s.fold(&e);
         }
-        let span = &s.closed[&50];
+        let span = s.record(50).unwrap();
         assert_eq!(span.dur, 39);
-        assert_eq!(span.segments.values().sum::<Cycle>(), 39);
-        assert_eq!(span.segments["queue"], 31, "9→40 waiting in the CBL queue");
-        assert_eq!(span.segments["net"], 8);
+        assert_eq!(span.segments.iter().sum::<Cycle>(), 39);
+        assert_eq!(span.segments[QUEUE], 31, "9→40 waiting in the CBL queue");
+        assert_eq!(span.segments[NET], 8);
     }
 
     /// Node 0 releases a lock (async span owning the release wire); the
@@ -958,13 +1146,13 @@ mod tests {
         for e in handoff_events() {
             s.fold(&e);
         }
-        let lock = &s.closed[&10];
+        let lock = s.record(10).unwrap();
         assert_eq!(lock.adopted_wire, Some(3), "grant wire adopted");
         assert_eq!(lock.causal_parent, Some(11), "edge to the releaser");
         assert_eq!(lock.dur, 22);
-        assert_eq!(lock.segments.values().sum::<Cycle>(), 22);
+        assert_eq!(lock.segments.iter().sum::<Cycle>(), 22);
         // grant transit 23→27 tiled as net
-        assert_eq!(lock.segments["net"], 3 + 4);
+        assert_eq!(lock.segments[NET], 3 + 4);
         let path = s.critical_path();
         let txns: Vec<u64> = path.iter().map(|p| p.txn).collect();
         assert_eq!(txns, vec![11, 10], "release → grant chain");
@@ -983,9 +1171,9 @@ mod tests {
         for e in evs {
             s.fold(&e);
         }
-        let span = &s.closed[&1];
+        let span = s.record(1).unwrap();
         assert_eq!(span.dur, 0);
-        assert_eq!(span.segments.values().sum::<Cycle>(), 0);
+        assert_eq!(span.segments.iter().sum::<Cycle>(), 0);
     }
 
     #[test]
@@ -995,9 +1183,9 @@ mod tests {
             s.fold(&ev(b, 0, Family::Node, Kind::SpanBegin, "fill", t, 0));
             s.fold(&ev(e, 0, Family::Node, Kind::SpanEnd, "fill", t, e - b));
         }
-        assert_eq!(s.closed[&2].prog_parent, Some(1));
-        assert_eq!(s.closed[&3].prog_parent, Some(2));
-        assert_eq!(s.closed[&3].dist, 10 + 20 + 10);
+        assert_eq!(s.record(2).unwrap().prog_parent, Some(1));
+        assert_eq!(s.record(3).unwrap().prog_parent, Some(2));
+        assert_eq!(s.record(3).unwrap().dist, 10 + 20 + 10);
         let chain: Vec<u64> = s.critical_path().iter().map(|p| p.txn).collect();
         assert_eq!(chain, vec![1, 2, 3]);
     }
@@ -1150,11 +1338,76 @@ mod tests {
         assert!(s.wires.sparse.is_empty(), "{:?}", s.wires.sparse.keys());
         assert_bounded(&s);
         assert!(s.health().clean());
-        assert_eq!(s.closed[&1_000].wires, vec![2_500, 2]);
+        assert_eq!(s.wires.owner(2_500), Some(1_000));
+        assert_eq!(s.wires.owner(2), Some(1_000));
         assert_eq!(
             s.to_json().render(),
             fold_all(&fills(2_000, |k| k)).to_json().render()
         );
+    }
+
+    #[test]
+    fn open_spans_reuse_slab_entries_and_wire_lists() {
+        let first = fold_all(&fills(1, |k| k));
+        let s = fold_all(&fills(500, |k| k));
+        assert_eq!(s.open.len(), 1, "one span open at a time needs one entry");
+        assert_eq!(s.free, vec![0]);
+        assert!(s.open[0].wires.is_empty());
+        assert_eq!(s.open[0].wires.capacity(), first.open[0].wires.capacity());
+        assert_eq!(s.timeline.capacity(), first.timeline.capacity());
+        assert_eq!(s.types.len(), 1, "one interned type");
+        assert_eq!(s.closed().len(), 500);
+        assert!(s.closed().iter().all(|c| s.detail(c) == "fill"));
+    }
+
+    #[test]
+    fn odd_node_and_huge_txn_ids_stay_out_of_the_dense_tables() {
+        let mut s = SpanSet::new();
+        for (k, node) in [(0u64, -7i64), (1, 1 << 40), (2, 3), (3, -1)] {
+            let txn = (1 << 40) + 1_000 - k;
+            s.fold(&ev(
+                10 * k,
+                node,
+                Family::Node,
+                Kind::SpanBegin,
+                "fill",
+                txn,
+                0,
+            ));
+            s.fold(&ev(
+                10 * k + 4,
+                node,
+                Family::Node,
+                Kind::SpanEnd,
+                "fill",
+                txn,
+                4,
+            ));
+        }
+        assert_eq!(s.nodes.dense.len(), 5, "-1..=3 indexed by node + 1");
+        assert_eq!(
+            s.nodes.odd.keys().copied().collect::<Vec<_>>(),
+            vec![-7, 1 << 40]
+        );
+        assert!(s.txns.dense.is_empty(), "no slot below 2^40 is allocated");
+        assert_eq!(s.txns.held, 4);
+        assert_eq!(s.health().spans, 4);
+    }
+
+    #[test]
+    fn txn_id_reused_on_one_node_ends_the_critical_path_walk() {
+        let mut s = SpanSet::new();
+        for (b, e) in [(1, 5), (7, 9)] {
+            s.fold(&ev(b, 0, Family::Node, Kind::SpanBegin, "fill", 1, 0));
+            s.fold(&ev(e, 0, Family::Node, Kind::SpanEnd, "fill", 1, e - b));
+        }
+        let span = s.record(1).unwrap();
+        assert_eq!(span.path_parent, Some(1), "its earlier instance");
+        assert_eq!(span.dist, 4 + 2);
+        assert_eq!(s.critical_path().len(), 1);
+        assert!(s
+            .render_table(8)
+            .contains("critical path (1 spans, 2 cycles)"));
     }
 
     #[test]
@@ -1174,6 +1427,48 @@ mod tests {
         assert!(table.contains("transaction latency"));
         assert!(table.contains("critical path"));
         assert!(table.contains("stitching health"));
+    }
+
+    /// Hand-written event streams under `src/testdata/`, each beside the
+    /// JSON report (`<case>.json`, as `ssmp spans --json` prints it) and
+    /// the top-8 table (`<case>.txt`) the fold renders for it.
+    const TRANSCRIPTS: [&str; 5] = [
+        "txn_reuse",
+        "wire_edges",
+        "odd_nodes",
+        "huge_txn_ids",
+        "span_types",
+    ];
+
+    #[test]
+    fn edge_case_transcripts_render_as_recorded() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src/testdata");
+        for case in TRANSCRIPTS {
+            let read = |ext: &str| {
+                std::fs::read_to_string(format!("{dir}/{case}.{ext}"))
+                    .unwrap_or_else(|e| panic!("{case}.{ext}: {e}"))
+            };
+            let stream = read("jsonl");
+            let offline = SpanSet::from_jsonl(Cursor::new(&stream)).unwrap();
+            // The live path folds `TraceEvent`s, whose details are static.
+            let mut live = SpanSet::new();
+            for line in stream.lines().filter(|l| !l.trim().is_empty()) {
+                let ev =
+                    ssmp_engine::trace::parse_jsonl_event(&Json::parse(line).unwrap()).unwrap();
+                live.fold(&TraceEvent {
+                    cycle: ev.cycle,
+                    node: ev.node,
+                    family: ev.family,
+                    kind: ev.kind,
+                    detail: Box::leak(ev.detail.into_boxed_str()),
+                    id: ev.id,
+                    arg: ev.arg,
+                });
+            }
+            assert_eq!(live, offline, "{case}: live and offline folds differ");
+            assert_eq!(offline.to_json().render() + "\n", read("json"), "{case}");
+            assert_eq!(offline.render_table(8), read("txt"), "{case}");
+        }
     }
 
     #[test]

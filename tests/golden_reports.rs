@@ -32,6 +32,16 @@
 //! a duplicate-and-delay fault plan with retransmission retransmits lock
 //! and flag wires (its fault log, which names each faulted message's
 //! kind, is pinned too).
+//!
+//! Armed WBI cases: work-queue on the WBI preset at 16 nodes with profile,
+//! spans and sanitizer armed, where TTS invalidations wake spinning lock
+//! waiters and the span stitcher adopts them as causal edges; and the SOR
+//! fault plan above plus 0.2% drops with the same three observers armed.
+//! Duplicate-and-delay alone never loses a wire, so nothing would be
+//! retransmitted; the drops make the machine retransmit requests, and
+//! because WBI does not yet regenerate a lost reply the run ends in a
+//! watchdog report with wires still undelivered and spans still open.
+//! Both outcomes reach the span health block, which the golden pins.
 
 use ssmp::engine::Json;
 use ssmp::machine::RetryPolicy;
@@ -87,6 +97,20 @@ const CASES: &[(&str, Model, usize, usize, Variant)] = &[
     ("sor-wbi-16", Model::Sor, 16, 4, Variant::FullMap),
     ("sync-backoff-16", Model::Sync, 16, 8, Variant::Backoff),
     ("sor-wbi-faults-16", Model::Sor, 16, 4, Variant::WbiFaults),
+    (
+        "wq-wbi-armed-16",
+        Model::WorkQueue,
+        16,
+        64,
+        Variant::WbiArmed,
+    ),
+    (
+        "sor-wbi-faults-armed-16",
+        Model::Sor,
+        16,
+        4,
+        Variant::WbiFaultsArmed,
+    ),
 ];
 
 /// Which workload a case runs.
@@ -128,14 +152,25 @@ enum Variant {
     Backoff,
     /// `FullMap` with `--dup-prob 0.05 --delay-prob 0.05 --retry`.
     WbiFaults,
+    /// `FullMap` with `--profile --spans --check`.
+    WbiArmed,
+    /// `WbiFaults` plus `--drop-prob 0.002`, with `--profile --spans
+    /// --check`.
+    WbiFaultsArmed,
 }
 
 fn run(model: Model, nodes: usize, size: usize, variant: Variant) -> Report {
-    let armed = matches!(variant, Variant::BcCblArmed | Variant::DragonArmed);
+    let armed = matches!(
+        variant,
+        Variant::BcCblArmed | Variant::DragonArmed | Variant::WbiArmed | Variant::WbiFaultsArmed
+    );
     let mut cfg = match variant {
-        Variant::FullMap | Variant::SharerLimit(_) | Variant::Mesi | Variant::WbiFaults => {
-            MachineConfig::wbi(nodes)
-        }
+        Variant::FullMap
+        | Variant::SharerLimit(_)
+        | Variant::Mesi
+        | Variant::WbiFaults
+        | Variant::WbiArmed
+        | Variant::WbiFaultsArmed => MachineConfig::wbi(nodes),
         Variant::BcCbl | Variant::BcCblArmed | Variant::BcCblFaults => MachineConfig::bc_cbl(nodes),
         Variant::Ric => MachineConfig::ric(nodes),
         Variant::MesiPreset => MachineConfig::mesi(nodes),
@@ -145,8 +180,12 @@ fn run(model: Model, nodes: usize, size: usize, variant: Variant) -> Report {
     match variant {
         Variant::SharerLimit(limit) => cfg.wbi_sharer_limit = Some(limit),
         Variant::Mesi => cfg.wbi_mesi = true,
-        Variant::BcCblFaults | Variant::WbiFaults => {
-            cfg.fault = Some(FaultConfig::uniform(0xFA, 0.0, 0.05, 0.05));
+        Variant::BcCblFaults | Variant::WbiFaults | Variant::WbiFaultsArmed => {
+            let drop = match variant {
+                Variant::WbiFaultsArmed => 0.002,
+                _ => 0.0,
+            };
+            cfg.fault = Some(FaultConfig::uniform(0xFA, drop, 0.05, 0.05));
             cfg.retry = RetryPolicy::enabled();
         }
         _ => {}
@@ -192,18 +231,6 @@ fn words(rows: &[Vec<u64>]) -> Json {
     )
 }
 
-/// The golden text of one case: the `--json` report, then the final
-/// coherent shared-memory and lock-block contents, one document a line.
-fn render(model: Model, nodes: usize, size: usize, variant: Variant) -> String {
-    let r = run(model, nodes, size, variant);
-    format!(
-        "{}\n{}\n{}\n",
-        r.to_json().render(),
-        words(&r.shared_memory).render(),
-        words(&r.lock_blocks).render()
-    )
-}
-
 fn golden_path(name: &str) -> String {
     format!(
         "{}/tests/golden/report_{name}.json",
@@ -211,15 +238,23 @@ fn golden_path(name: &str) -> String {
     )
 }
 
-fn check(name: &str) {
+/// Checks case `name` against its golden file and returns its report.
+fn check(name: &str) -> Report {
     let &(_, model, nodes, size, variant) =
         CASES.iter().find(|c| c.0 == name).expect("case is listed");
     let want = std::fs::read_to_string(golden_path(name)).expect("golden file is committed");
-    let got = render(model, nodes, size, variant);
+    let r = run(model, nodes, size, variant);
+    let got = format!(
+        "{}\n{}\n{}\n",
+        r.to_json().render(),
+        words(&r.shared_memory).render(),
+        words(&r.lock_blocks).render()
+    );
     assert!(
         got == want,
         "{name}: report differs from tests/golden/report_{name}.json\n got: {got}\nwant: {want}"
     );
+    r
 }
 
 #[test]
@@ -289,8 +324,7 @@ fn dragon_armed_observers_match_golden() {
 
 #[test]
 fn sor_software_barrier_flag_matches_golden() {
-    check("sor-wbi-16");
-    let r = run(Model::Sor, 16, 4, Variant::FullMap);
+    let r = check("sor-wbi-16");
     assert!(
         r.counters.get("barrier.sw.notify") > 0,
         "SOR on WBI must release its phases through the software-barrier flag"
@@ -304,12 +338,11 @@ fn sync_backoff_matches_golden() {
 
 #[test]
 fn sor_dup_delay_with_retry_matches_golden() {
-    check("sor-wbi-faults-16");
     // The report does not show which fault stream a message drew from;
     // the replayable fault log does: each entry is a message kind (data,
     // lock or flag line), its sequence number within that kind, and the
     // fault applied.
-    let r = run(Model::Sor, 16, 4, Variant::WbiFaults);
+    let r = check("sor-wbi-faults-16");
     let got: String = r
         .fault_log
         .iter()
@@ -319,4 +352,26 @@ fn sor_dup_delay_with_retry_matches_golden() {
     let path = format!("{}/{name}", env!("CARGO_MANIFEST_DIR"));
     let want = std::fs::read_to_string(path).expect("golden file is committed");
     assert!(got == want, "fault log differs from {name}");
+}
+
+#[test]
+fn wbi_armed_observers_match_golden() {
+    let r = check("wq-wbi-armed-16");
+    let h = r.spans.as_ref().expect("spans armed").health();
+    assert!(
+        h.adopted > 0,
+        "TTS invalidation wakeups must be adopted as causal edges: {h:?}"
+    );
+}
+
+#[test]
+fn sor_dup_delay_armed_observers_match_golden() {
+    let r = check("sor-wbi-faults-armed-16");
+    let h = r.spans.as_ref().expect("spans armed").health();
+    let retries: u64 = r.retries.iter().sum();
+    assert!(
+        retries > 0 && h.undelivered_wires > 0 && h.orphan_begins > 0,
+        "the fault plan must retransmit and strand wires: retries {retries}, {h:?}"
+    );
+    assert!(h.adopted > 0, "{h:?}");
 }

@@ -137,13 +137,18 @@ fn segments_sum_exactly_to_e2e_and_stitch_is_clean() {
             let (r, _) = spanned_run(cfg, wl, locks);
             assert!(r.deadlock.is_none(), "{name} deadlocked");
             let spans = r.spans.as_ref().unwrap();
-            assert!(!spans.closed.is_empty(), "{name}: no spans stitched");
-            for sp in spans.closed.values() {
-                let sum: u64 = sp.segments.values().sum();
+            assert!(!spans.closed().is_empty(), "{name}: no spans stitched");
+            for sp in spans.closed() {
+                let sum: u64 = sp.segments.iter().sum();
                 assert_eq!(
-                    sum, sp.dur,
+                    sum,
+                    sp.dur,
                     "{name} txn {} ({} @ node {}): segment sum {} != e2e {}",
-                    sp.txn, sp.detail, sp.node, sum, sp.dur
+                    sp.txn,
+                    spans.detail(sp),
+                    sp.node,
+                    sum,
+                    sp.dur
                 );
             }
             // undelivered wires are legitimate at end of run (in-flight
@@ -228,7 +233,7 @@ fn critical_path_is_causally_ordered_and_spans_the_run() {
     // the chain terminates at the globally maximal chain distance, and
     // that distance is exactly the chain's summed span durations
     let tail = chain.last().unwrap();
-    let max_dist = spans.closed.values().map(|s| s.dist).max().unwrap();
+    let max_dist = spans.closed().iter().map(|s| s.dist).max().unwrap();
     assert_eq!(
         tail.dist, max_dist,
         "critical path is not the longest chain"
